@@ -22,7 +22,6 @@ from .core import (
     make_ifv,
     score,
     similarity_l,
-    sort_key,
 )
 from .errors import (
     BadParameter,

@@ -85,7 +85,37 @@ def _weights_from_spec(spec, n: int) -> WeightVector:
         raise _SchemaError("'weights' must be a list of numbers or \"equal\"")
     if len(spec) != n:
         raise _SchemaError(f"{len(spec)} weights for {n} universe elements")
-    return WeightVector(tuple(float(x) for x in spec))
+    try:
+        return WeightVector(tuple(float(x) for x in spec))
+    except (TypeError, ValueError):
+        raise _SchemaError("'weights' must be a list of numbers or \"equal\"")
+
+
+def _cell(cell, where: tuple, policy: NumericPolicy, rung: bool = False) -> Ifv | Qrofn:
+    """Validate one JSON value: an object with numeric 'mu' and 'nu', and a
+    numeric 'q' when ``rung`` is set.  Errors name the cell by its JSON path,
+    the parts of ``where`` joined by '/'."""
+    try:
+        mu, nu = float(cell["mu"]), float(cell["nu"])
+        q = float(cell["q"]) if rung else None
+    except (KeyError, TypeError, ValueError):
+        path = "/".join(map(str, where))
+        keys = ("mu", "nu", "q") if rung else ("mu", "nu")
+        if not isinstance(cell, dict) or any(k not in cell for k in keys):
+            names = " and ".join(repr(k) for k in keys)
+            raise _SchemaError(f"{path}: expected an object with {names}")
+        raise _SchemaError(f"{path}: non-numeric components")
+    try:
+        return make_ifv(mu, nu, policy) if q is None else make_qrofn(mu, nu, q, policy)
+    except DomainViolation as exc:
+        raise DomainViolation(f"{'/'.join(map(str, where))}: {exc}") from exc
+
+
+def _value_list(obj: dict, policy: NumericPolicy, rung: bool = False) -> list:
+    rows = obj.get("values")
+    if not isinstance(rows, list) or not rows:
+        raise _SchemaError("'values' must be a nonempty list")
+    return [_cell(row, ("values", i), policy, rung) for i, row in enumerate(rows)]
 
 
 def _value_row(
@@ -99,17 +129,7 @@ def _value_row(
     extra = [x for x in row if x not in universe]
     if extra:
         raise _SchemaError(f"{owner}: unknown elements {extra}")
-    values = {}
-    for x in universe:
-        cell = row[x]
-        if not isinstance(cell, dict) or "mu" not in cell or "nu" not in cell:
-            raise _SchemaError(f"{owner}/{x}: expected an object with 'mu' and 'nu'")
-        try:
-            values[x] = make_ifv(float(cell["mu"]), float(cell["nu"]), policy)
-        except (TypeError, ValueError):
-            raise _SchemaError(f"{owner}/{x}: non-numeric components")
-        except DomainViolation as exc:
-            raise DomainViolation(f"{owner}/{x}: {exc}") from exc
+    values = {x: _cell(row[x], (owner, x), policy) for x in universe}
     return Ifs(tuple(universe), values)
 
 
@@ -132,7 +152,7 @@ def _cmd_transport(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
     mu, nu = _parse_pair(args.a)
     if args.direction == "to-ifv":
-        print(to_ifv(make_qrofn(mu, nu, args.q, policy), policy))
+        print(to_ifv(make_qrofn(mu, nu, args.q, policy)))
     else:
         print(from_ifv(make_ifv(mu, nu, policy), args.q, policy))
     return EXIT_OK
@@ -141,28 +161,16 @@ def _cmd_transport(args: argparse.Namespace) -> int:
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
     obj = _load_json(args.file)
-    rows = obj.get("values")
-    if not isinstance(rows, list) or not rows:
-        raise _SchemaError("'values' must be a nonempty list")
-    weights = _weights_from_spec(obj.get("weights"), len(rows))
-    if args.op in ("ifwa", "ifwg"):
-        values = [Ifv.from_json(row, policy) for row in rows]
-        agg = ifwa if args.op == "ifwa" else ifwg
-        print(agg(values, weights, policy))
-    else:
-        qvalues = [Qrofn.from_json(row, policy) for row in rows]
-        qagg = qrofwa if args.op == "qrofwa" else qrofwg
-        print(qagg(qvalues, weights, policy))
+    agg = {"ifwa": ifwa, "ifwg": ifwg, "qrofwa": qrofwa, "qrofwg": qrofwg}[args.op]
+    values = _value_list(obj, policy, rung=args.op.startswith("q"))
+    weights = _weights_from_spec(obj.get("weights"), len(values))
+    print(agg(values, weights, policy))
     return EXIT_OK
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
-    obj = _load_json(args.file)
-    rows = obj.get("values")
-    if not isinstance(rows, list) or not rows:
-        raise _SchemaError("'values' must be a nonempty list")
-    values = [Ifv.from_json(row, policy) for row in rows]
+    values = _value_list(_load_json(args.file), policy)
     bound = inf_finite if args.op == "inf" else sup_finite
     print(bound(values, _parse_order(args.order), policy))
     return EXIT_OK
@@ -171,9 +179,12 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     obj = _load_json(args.file)
     eps = obj.get("eps")
-    policy = (
-        NumericPolicy(eps_order=float(eps)) if eps is not None else _policy_from_args(args)
-    )
+    try:
+        policy = (
+            NumericPolicy(eps_order=float(eps)) if eps is not None else _policy_from_args(args)
+        )
+    except (TypeError, ValueError):
+        raise _SchemaError("'eps' must be a number")
     universe = obj.get("universe")
     if not isinstance(universe, list) or not all(isinstance(x, str) for x in universe):
         raise _SchemaError("'universe' must be a list of element labels")

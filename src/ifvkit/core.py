@@ -36,7 +36,6 @@ __all__ = [
     "indeterminacy",
     "similarity_l",
     "cmp",
-    "sort_key",
 ]
 
 
@@ -112,11 +111,32 @@ TOP = Ifv(1.0, 0.0)
 
 
 def _clamp_component(x: float, eps: float, what: str) -> float:
+    if 0.0 < x <= 1.0:  # not 0.0 <= x: the clamp below turns -0.0 into 0.0
+        return x
     if not math.isfinite(x):
         raise DomainViolation(f"{what} must be finite, got {x!r}")
     if x < -eps or x > 1.0 + eps:
         raise DomainViolation(f"{what}={x!r} outside [0, 1] beyond tolerance {eps}")
     return min(1.0, max(0.0, x))
+
+
+def _snap(mu: float, nu: float) -> Ifv:
+    """Build an IFV from components that an internal formula computed.
+
+    Never raises: each component is clamped to [0, 1], and a sum past 1 is
+    pulled onto the simplex edge by shrinking the larger component.  Use it
+    only where the exact result is admissible and rounding (or a branch taken
+    within ``eps_order``) can put the float a little outside.
+    """
+    if not (0.0 < mu <= 1.0 and 0.0 < nu <= 1.0 and mu + nu <= 1.0):
+        mu = min(1.0, max(0.0, mu))
+        nu = min(1.0, max(0.0, nu))
+        if mu + nu > 1.0:
+            if mu >= nu:
+                mu = 1.0 - nu
+            else:
+                nu = 1.0 - mu
+    return Ifv(mu, nu)
 
 
 def make_ifv(mu: float, nu: float, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
@@ -131,13 +151,7 @@ def make_ifv(mu: float, nu: float, policy: NumericPolicy = DEFAULT_POLICY) -> If
     nu = _clamp_component(float(nu), eps, "nu")
     if mu + nu > 1.0 + eps:
         raise DomainViolation(f"mu + nu = {mu + nu!r} exceeds 1 beyond tolerance {eps}")
-    if mu + nu > 1.0:
-        # Snap onto the simplex edge, shrinking the larger component.
-        if mu >= nu:
-            mu = 1.0 - nu
-        else:
-            nu = 1.0 - mu
-    return Ifv(mu, nu)
+    return _snap(mu, nu)
 
 
 def score(a: Ifv) -> float:
@@ -187,15 +201,3 @@ def cmp(
         return Ordering.LESS if sa < sb else Ordering.GREATER
     return Ordering.EQUAL
 
-
-def sort_key(ord: OrderKind = OrderKind.XY):
-    """Key function for ``sorted``: ascending in the chosen linear order.
-
-    Uses raw (tolerance-free) keys; adequate whenever the data is not
-    adversarially close to ties.
-    """
-
-    def key(a: Ifv) -> tuple[float, float]:
-        return _keys(a, ord)
-
-    return key

@@ -5,6 +5,10 @@ monotone bijection: comparisons under ZX of inputs equal comparisons under XY
 of images); ``xy_to_zx`` is its inverse.  Both are five-branch piecewise maps,
 keyed on the similarity functional L for the forward direction and on the
 score for the inverse.
+
+Both maps are simplex-valued by construction, but just outside the endpoint
+branch bands the denominators shrink to O(eps_order) and rounding can push a
+component outside the domain, so images are built with ``core._snap``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from .core import (
     TOP,
     Ifv,
     NumericPolicy,
-    make_ifv,
+    _snap,
     score,
     similarity_l,
 )
@@ -32,21 +36,6 @@ def _checked_div(num: float, den: float) -> float:
     if abs(den) < _DENOM_FLOOR:
         raise InconsistentBranch(f"degenerate denominator {den!r}")
     return num / den
-
-
-def _snapped(mu: float, nu: float, policy: NumericPolicy) -> Ifv:
-    # Both maps are simplex-valued by construction, but just outside the
-    # endpoint branch bands the denominators shrink to O(eps_order) and
-    # rounding can push a component past the domain tolerance; pull it back
-    # before validating.
-    mu = min(1.0, max(0.0, mu))
-    nu = min(1.0, max(0.0, nu))
-    if mu + nu > 1.0:
-        if mu >= nu:
-            mu = 1.0 - nu
-        else:
-            nu = 1.0 - mu
-    return make_ifv(mu, nu, policy)
 
 
 def zx_to_xy(a: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
@@ -67,13 +56,13 @@ def zx_to_xy(a: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
         half_den = 2.0 * (1.0 - ell)
         mu = _checked_div(a.mu, half_den)
         nu = _checked_div(a.mu + 2.0 - 4.0 * ell, half_den)
-        return _snapped(mu, nu, policy)
+        return _snap(mu, nu)
     mu = 0.5 * (
         _checked_div(a.mu, 1.0 - ell)
         - _checked_div((2.0 * ell - 1.0) ** 2, ell * (1.0 - ell))
     )
     nu = _checked_div(ell * a.mu - (2.0 * ell - 1.0), 2.0 * ell * (1.0 - ell))
-    return _snapped(mu, nu, policy)
+    return _snap(mu, nu)
 
 
 def xy_to_zx(a: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
@@ -88,7 +77,7 @@ def xy_to_zx(a: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
     if s > 0.0:
         nu = _checked_div(2.0 * a.mu - 2.0 * s, 2.0 - s)
         mu = 2.0 * a.mu - s - nu
-        return _snapped(mu, nu, policy)
+        return _snap(mu, nu)
     mu = _checked_div(2.0 * a.mu, 2.0 + s)
     nu = _checked_div(2.0 * a.mu * (1.0 + s), 2.0 + s) - s
-    return _snapped(mu, nu, policy)
+    return _snap(mu, nu)

@@ -10,7 +10,7 @@ a AND not-a is always below b OR not-b.
 
 from __future__ import annotations
 
-from .core import DEFAULT_POLICY, Ifv, NumericPolicy, OrderKind, Ordering, cmp, make_ifv
+from .core import DEFAULT_POLICY, Ifv, NumericPolicy, OrderKind, Ordering, _snap, cmp
 from .isomorphism import xy_to_zx, zx_to_xy
 from .lattice import join2, meet2
 
@@ -22,14 +22,17 @@ def negate_xy(a: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
 
     Reflects the score (s(not-a) = -s(a)); branch selection on mu vs nu uses
     ``eps_order``, and the three branches agree in the limit mu -> nu, so the
-    tolerance band cannot introduce a discontinuity.
+    tolerance band cannot introduce a discontinuity.  Inside the band the
+    balanced branch can put a component up to ``eps_order`` below 0 (for
+    ``<0.5 + d, 0.5 - d>``); the result is snapped onto the domain, so it is
+    off from the exact value by at most ``eps_order``.
     """
     mu, nu = a.mu, a.nu
     if policy.close(mu, nu):
-        return make_ifv(0.5 - mu, 0.5 - nu, policy)
+        return _snap(0.5 - mu, 0.5 - nu)
     if mu > nu:
-        return make_ifv((1.0 - mu - nu) / 2.0, (1.0 + mu - 3.0 * nu) / 2.0, policy)
-    return make_ifv((1.0 + nu - 3.0 * mu) / 2.0, (1.0 - mu - nu) / 2.0, policy)
+        return _snap((1.0 - mu - nu) / 2.0, (1.0 + mu - 3.0 * nu) / 2.0)
+    return _snap((1.0 + nu - 3.0 * mu) / 2.0, (1.0 - mu - nu) / 2.0)
 
 
 def negate_zx(a: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:

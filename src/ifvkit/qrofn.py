@@ -3,8 +3,10 @@
 A Qrofn is a pair <mu, nu> with mu^q + nu^q <= 1, carrying its rung q >= 1.
 Raising components to the q-th power identifies the rung-q space with the IFV
 space, and that bijection transports everything built for IFVs back to any
-rung: the three linear orders, the strong negations, and arbitrary n-ary
-operators via :func:`lift`.
+rung.  Nothing here is written a second time: every order is
+:func:`~ifvkit.core.cmp` on the :func:`to_ifv` images, and every negation and
+aggregator is an IFV one carried across by :func:`lift`.  :func:`scores` keeps
+the five ranking functionals of the q-rung literature; no order reads them.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from .core import (
     NumericPolicy,
     Ordering,
     OrderKind,
+    _clamp_component,
+    _snap,
     cmp,
-    make_ifv,
 )
 from .errors import BadParameter, DomainViolation, LengthMismatch, RungMismatch
-from .isomorphism import xy_to_zx, zx_to_xy
-from .negation import negate_xy
+from .negation import negate_xy, negate_zx
 from .ops import ifwa, ifwg
 
 __all__ = [
@@ -50,13 +52,14 @@ class QOrderKind(enum.Enum):
 
     LW and WU are the IFV orders XY and ZX transported to rung q: they are
     decided by :func:`~ifvkit.core.cmp` on the :func:`to_ifv` images, so they
-    agree with the transported order by construction.  X alone compares
-    rooted keys; its ``eps_order`` band lies on the rooted scale, so near a
-    tie it can decide differently from LW.
+    agree with the transported order by construction.  X, the order of the
+    rooted score and rooted accuracy, is decided exactly as LW: the signed
+    q-th root is strictly increasing, so ``(s_x, h_x)`` orders pairs
+    lexicographically exactly as ``(s_lw, h_lw)`` does.
     """
 
     LW = "lw"  # XY on the powered images: score, then accuracy
-    X = "x"  # rooted (modified) score, then rooted accuracy
+    X = "x"  # rooted score, then rooted accuracy; the same order as LW
     WU = "wu"  # ZX on the powered images: similarity L, then accuracy
 
 
@@ -102,13 +105,8 @@ def make_qrofn(
     """Validate and build a q-ROFN, clamping representational noise."""
     q = _check_rung(q)
     eps = policy.eps_domain
-    for name, x in (("mu", mu), ("nu", nu)):
-        if not math.isfinite(float(x)):
-            raise DomainViolation(f"{name} must be finite, got {x!r}")
-        if x < -eps or x > 1.0 + eps:
-            raise DomainViolation(f"{name}={x!r} outside [0, 1] beyond tolerance {eps}")
-    mu = min(1.0, max(0.0, float(mu)))
-    nu = min(1.0, max(0.0, float(nu)))
+    mu = _clamp_component(float(mu), eps, "mu")
+    nu = _clamp_component(float(nu), eps, "nu")
     total = mu**q + nu**q
     if total > 1.0 + eps:
         raise DomainViolation(
@@ -126,7 +124,8 @@ def make_qrofn(
 def scores(a: Qrofn) -> QrofnScores:
     """All five ranking functionals of ``a``.
 
-    The rooted score carries the sign of mu - nu: it is the q-th root of
+    These are reported for reference; :func:`qcmp` does not read them.  The
+    rooted score carries the sign of mu - nu: it is the q-th root of
     |mu^q - nu^q|, negated when mu < nu.
     """
     q = a.q
@@ -155,28 +154,23 @@ def qcmp(
 ) -> Ordering:
     """Three-valued comparison of same-rung q-ROFNs under the chosen order.
 
-    LW and WU are decided by ``cmp(to_ifv(a), to_ifv(b), XY | ZX)`` under
-    ``policy``, so the ``eps_order`` band sits on the powered keys exactly as
-    it does for the IFV orders.  X compares the rooted keys ``(s_x, h_x)``
-    with the band on the rooted scale; the q-th root stretches some key gaps
-    and shrinks others, so near a tie X can decide differently from LW.
+    WU is decided by ``cmp(to_ifv(a), to_ifv(b), ZX)``, and LW and X by the
+    same call with XY, under ``policy``.  The ``eps_order`` band thus sits on
+    the powered keys exactly as it does for the IFV orders, and every order
+    agrees with the transported one by construction.
     """
     _same_rung([a, b])
-    if ord is not QOrderKind.X:
-        ifv_ord = OrderKind.XY if ord is QOrderKind.LW else OrderKind.ZX
-        return cmp(to_ifv(a, policy), to_ifv(b, policy), ifv_ord, policy)
-    sa, sb = scores(a), scores(b)
-    ka, kb = (sa.s_x, sa.h_x), (sb.s_x, sb.h_x)
-    if not policy.close(ka[0], kb[0]):
-        return Ordering.LESS if ka[0] < kb[0] else Ordering.GREATER
-    if not policy.close(ka[1], kb[1]):
-        return Ordering.LESS if ka[1] < kb[1] else Ordering.GREATER
-    return Ordering.EQUAL
+    ifv_ord = OrderKind.ZX if ord is QOrderKind.WU else OrderKind.XY
+    return cmp(to_ifv(a), to_ifv(b), ifv_ord, policy)
 
 
-def to_ifv(a: Qrofn, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
-    """Rung transport: <mu, nu> -> <mu^q, nu^q>."""
-    return make_ifv(a.mu**a.q, a.nu**a.q, policy)
+def to_ifv(a: Qrofn) -> Ifv:
+    """Rung transport: <mu, nu> -> <mu^q, nu^q>.
+
+    ``a`` was validated when it was built, so the powers need no check; any
+    rounding past the simplex edge is snapped back.
+    """
+    return _snap(a.mu**a.q, a.nu**a.q)
 
 
 def from_ifv(a: Ifv, q: float, policy: NumericPolicy = DEFAULT_POLICY) -> Qrofn:
@@ -198,35 +192,19 @@ def lift(
     if not args:
         raise LengthMismatch("lift needs at least one argument")
     q = _same_rung(args)
-    return from_ifv(f(*(to_ifv(a, policy) for a in args)), q, policy)
+    return from_ifv(f(*(to_ifv(a) for a in args)), q, policy)
 
 
 def negate_lw(a: Qrofn, policy: NumericPolicy = DEFAULT_POLICY) -> Qrofn:
-    """Strong negation for the LW order, in closed form.
-
-    Equals the lifted XY negation; the closed form avoids the transport
-    round-trip.  Branch selection on mu vs nu uses ``eps_order``.
-    """
-    q = a.q
-    mq, nq = a.mu**q, a.nu**q
-    root = lambda x: max(0.0, x) ** (1.0 / q)  # noqa: E731
-    if policy.close(a.mu, a.nu):
-        return make_qrofn(root(0.5 - mq), root(0.5 - nq), q, policy)
-    if a.mu > a.nu:
-        return make_qrofn(
-            root((1.0 - mq - nq) / 2.0), root((1.0 + mq - 3.0 * nq) / 2.0), q, policy
-        )
-    return make_qrofn(
-        root((1.0 + nq - 3.0 * mq) / 2.0), root((1.0 - mq - nq) / 2.0), q, policy
-    )
+    """Strong negation for the LW order: :func:`~ifvkit.negation.negate_xy`
+    lifted to the rung of ``a``."""
+    return lift(lambda x: negate_xy(x, policy), [a], policy)
 
 
 def negate_wu(a: Qrofn, policy: NumericPolicy = DEFAULT_POLICY) -> Qrofn:
-    """Strong negation for the Wu order: conjugate the XY negation by both
-    the rung transport and the order isomorphism."""
-    img = zx_to_xy(to_ifv(a, policy), policy)
-    neg = negate_xy(img, policy)
-    return from_ifv(xy_to_zx(neg, policy), a.q, policy)
+    """Strong negation for the Wu order: :func:`~ifvkit.negation.negate_zx`
+    lifted to the rung of ``a``."""
+    return lift(lambda x: negate_zx(x, policy), [a], policy)
 
 
 def qrofwa(
@@ -235,8 +213,6 @@ def qrofwa(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Qrofn:
     """Weighted averaging aggregator at any rung (lifted from IFVs)."""
-    if len(values) != len(weights):
-        raise LengthMismatch(f"{len(values)} values vs {len(weights)} weights")
     return lift(lambda *ifvs: ifwa(ifvs, weights, policy), values, policy)
 
 
@@ -246,6 +222,4 @@ def qrofwg(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Qrofn:
     """Weighted geometric aggregator at any rung (lifted from IFVs)."""
-    if len(values) != len(weights):
-        raise LengthMismatch(f"{len(values)} values vs {len(weights)} weights")
     return lift(lambda *ifvs: ifwg(ifvs, weights, policy), values, policy)

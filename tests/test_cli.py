@@ -50,6 +50,13 @@ class TestNegate:
         assert float(mu) == pytest.approx(0.2, abs=1e-9)
         assert float(nu) == pytest.approx(0.2, abs=1e-9)
 
+    @pytest.mark.parametrize("order", ["xy", "zx"])
+    def test_next_to_the_midline(self, capsys, order):
+        code, out, _ = run(capsys, "negate", "0.5000000004,0.4999999996", "--order", order)
+        assert code == EXIT_OK
+        mu, nu = out.strip().strip("⟨⟩").split(", ")
+        assert 0.0 <= float(mu) and 0.0 <= float(nu)
+
 
 class TestTransport:
     def test_to_ifv(self, capsys):
@@ -144,6 +151,64 @@ class TestLattice:
         assert (code, out.strip()) == (EXIT_OK, "⟨0.5, 0.2⟩")
 
 
+AGG, LAT = "aggregate", "lattice"
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize(
+        "verb,op,doc,expected",
+        [
+            pytest.param(AGG, "ifwa", {"values": [{"nu": 0.3}]}, EXIT_SCHEMA, id="agg-no-mu"),
+            pytest.param(AGG, "ifwg", {"values": [[0.5, 0.3]]}, EXIT_SCHEMA, id="agg-list-row"),
+            pytest.param(
+                AGG, "ifwa", {"values": [{"mu": "a", "nu": 0.3}]}, EXIT_SCHEMA, id="agg-text-mu"
+            ),
+            pytest.param(
+                AGG,
+                "ifwa",
+                {"values": [{"mu": 0.5, "nu": 0.3}], "weights": ["x"]},
+                EXIT_SCHEMA,
+                id="agg-text-weight",
+            ),
+            pytest.param(
+                AGG, "qrofwa", {"values": [{"mu": 0.6, "nu": 0.8}]}, EXIT_SCHEMA, id="agg-no-q"
+            ),
+            pytest.param(
+                AGG,
+                "qrofwg",
+                {"values": [{"mu": 0.6, "nu": 0.8, "q": "two"}]},
+                EXIT_SCHEMA,
+                id="agg-text-q",
+            ),
+            pytest.param(LAT, "inf", {"values": [{"nu": 0.3}]}, EXIT_SCHEMA, id="lat-no-mu"),
+            pytest.param(LAT, "sup", {"values": [[0.5, 0.3]]}, EXIT_SCHEMA, id="lat-list-row"),
+            pytest.param(
+                LAT, "inf", {"values": [{"mu": "a", "nu": 0.3}]}, EXIT_SCHEMA, id="lat-text-mu"
+            ),
+            pytest.param(
+                AGG, "ifwa", {"values": [{"mu": 0.8, "nu": 0.5}]}, EXIT_DOMAIN, id="agg-domain"
+            ),
+            pytest.param(
+                AGG,
+                "qrofwa",
+                {"values": [{"mu": 0.9, "nu": 0.9, "q": 2}]},
+                EXIT_DOMAIN,
+                id="agg-q-domain",
+            ),
+            pytest.param(
+                LAT, "sup", {"values": [{"mu": 1.2, "nu": 0.0}]}, EXIT_DOMAIN, id="lat-domain"
+            ),
+        ],
+    )
+    def test_exit_code(self, capsys, tmp_path, verb, op, doc, expected):
+        f = tmp_path / "values.json"
+        f.write_text(json.dumps(doc))
+        code, _, err = run(capsys, verb, str(f), "--op", op)
+        assert code == expected
+        if "weights" not in doc:
+            assert "values/0" in err
+
+
 class TestClassify:
     def test_golden_report(self, capsys):
         code, out, _ = run(capsys, "classify", str(DATA / "building_materials.json"))
@@ -194,6 +259,16 @@ class TestClassify:
         code, _, err = run(capsys, "classify", str(f))
         assert code == EXIT_DOMAIN
         assert "I2/x5" in err
+
+    @pytest.mark.parametrize("eps", ["abc", [1e-9]])
+    def test_schema_error_on_non_numeric_eps(self, capsys, tmp_path, eps):
+        request = json.loads((DATA / "building_materials.json").read_text())
+        request["eps"] = eps
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(request))
+        code, _, err = run(capsys, "classify", str(f))
+        assert code == EXIT_SCHEMA
+        assert "'eps'" in err
 
     def test_schema_error_on_missing_unknown(self, capsys, tmp_path):
         request = json.loads((DATA / "building_materials.json").read_text())

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ifvkit import (
@@ -73,6 +73,7 @@ class TestNegateXY:
         assert cmp(negate_xy(b), negate_xy(a)) is not Ordering.GREATER
 
     @given(ifvs())
+    @example(make_ifv(0.5 + 4e-10, 0.5 - 4e-10))
     def test_closure(self, a):
         out = negate_xy(a)
         assert 0.0 <= out.mu <= 1.0 and 0.0 <= out.nu <= 1.0
