@@ -108,6 +108,8 @@ class Ifv:
 
 BOTTOM = Ifv(0.0, 1.0)
 TOP = Ifv(1.0, 0.0)
+# Bound once: an Enum member lookup costs about ten global loads, and cmp is hot.
+_XY, _LESS, _GREATER, _EQUAL = OrderKind.XY, Ordering.LESS, Ordering.GREATER, Ordering.EQUAL
 
 
 def _clamp_component(x: float, eps: float, what: str) -> float:
@@ -124,18 +126,20 @@ def _snap(mu: float, nu: float) -> Ifv:
     """Build an IFV from components that an internal formula computed.
 
     Never raises: each component is clamped to [0, 1], and a sum past 1 is
-    pulled onto the simplex edge by shrinking the larger component.  Use it
-    only where the exact result is admissible and rounding (or a branch taken
-    within ``eps_order``) can put the float a little outside.
+    pulled onto the simplex edge by shrinking the larger component, or where
+    that is not representable (``<1.0, 1e-300>``) by capping the smaller one
+    at ``1.0 - larger`` (exact: larger >= 1/2).  Use it where the exact value
+    is admissible and rounding, or a branch within ``eps_order``, moved it off.
     """
-    if not (0.0 < mu <= 1.0 and 0.0 < nu <= 1.0 and mu + nu <= 1.0):
+    if not (0.0 < mu <= 1.0 and 0.0 < nu <= 1.0 and mu + nu < 1.0):
         mu = min(1.0, max(0.0, mu))
         nu = min(1.0, max(0.0, nu))
-        if mu + nu > 1.0:
-            if mu >= nu:
-                mu = 1.0 - nu
-            else:
-                nu = 1.0 - mu
+        if mu >= nu:
+            mu = min(mu, 1.0 - nu)
+            nu = min(nu, 1.0 - mu)
+        else:
+            nu = min(nu, 1.0 - mu)
+            mu = min(mu, 1.0 - nu)
     return Ifv(mu, nu)
 
 
@@ -178,26 +182,23 @@ def similarity_l(a: Ifv) -> float:
     return (1.0 - a.nu) / (2.0 - a.mu - a.nu)
 
 
-def _keys(a: Ifv, ord: OrderKind) -> tuple[float, float]:
-    if ord is OrderKind.XY:
-        return score(a), accuracy(a)
-    return similarity_l(a), accuracy(a)
-
-
 def cmp(
     a: Ifv, b: Ifv, ord: OrderKind = OrderKind.XY, policy: NumericPolicy = DEFAULT_POLICY
 ) -> Ordering:
     """Three-valued comparison under the chosen linear order.
 
-    Primary keys (score for XY, L for ZX) are compared first; ties within
-    ``eps_order`` fall through to the accuracy.  EQUAL is returned only when
-    both keys agree within ``eps_order``.
+    Primary keys (``score`` for XY, ``similarity_l`` for ZX) are compared
+    first; ties within ``eps_order`` fall through to the ``accuracy``, which
+    is evaluated only then.  EQUAL means both keys agree within ``eps_order``,
+    which is read directly: overriding ``NumericPolicy.close`` changes nothing.
     """
-    pa, sa = _keys(a, ord)
-    pb, sb = _keys(b, ord)
-    if not policy.close(pa, pb):
-        return Ordering.LESS if pa < pb else Ordering.GREATER
-    if not policy.close(sa, sb):
-        return Ordering.LESS if sa < sb else Ordering.GREATER
-    return Ordering.EQUAL
-
+    if ord is _XY:
+        pa, pb = a.mu - a.nu, b.mu - b.nu
+    else:
+        pa, pb = (1.0 - a.nu) / (2.0 - a.mu - a.nu), (1.0 - b.nu) / (2.0 - b.mu - b.nu)
+    if not abs(pa - pb) <= policy.eps_order:
+        return _LESS if pa < pb else _GREATER
+    sa, sb = a.mu + a.nu, b.mu + b.nu
+    if not abs(sa - sb) <= policy.eps_order:
+        return _LESS if sa < sb else _GREATER
+    return _EQUAL

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import DEFAULT_POLICY, BOTTOM, Ifv, NumericPolicy, OrderKind, Ordering, cmp
+from .core import DEFAULT_POLICY, BOTTOM, Ifv, NumericPolicy, OrderKind, Ordering, cmp, make_ifv
 from .errors import EmptySamples, NonTotalMap, UniverseMismatch
 from .lattice import sup_finite
 
@@ -58,8 +58,6 @@ class Ifs:
         pairs: Iterable[tuple[float, float]],
         policy: NumericPolicy = DEFAULT_POLICY,
     ) -> "Ifs":
-        from .core import make_ifv
-
         values = {x: make_ifv(mu, nu, policy) for x, (mu, nu) in zip(universe, pairs)}
         if len(values) != len(universe):
             raise UniverseMismatch("one (mu, nu) pair per universe element required")
@@ -96,20 +94,19 @@ def decompose_check(
 
     For each x, the supremum of the sampled values whose level set contains x
     must reproduce i(x).  Holds whenever ``samples`` contains every value
-    attained by ``i``.
+    attained by ``i``.  The supremum is folded while the witnesses are
+    filtered, by ``sup_finite``'s rule: the first of EQUAL witnesses is kept.
     """
     if not samples:
         raise EmptySamples("decomposition check needs at least one sample value")
-    for x in i.universe:
-        witnesses = [
-            alpha
-            for alpha in samples
-            if cmp(i[x], alpha, OrderKind.XY, policy) is not Ordering.LESS
-        ]
-        if not witnesses:
-            return False
-        rebuilt = sup_finite(witnesses, OrderKind.XY, policy)
-        if cmp(rebuilt, i[x], OrderKind.XY, policy) is not Ordering.EQUAL:
+    XY, LESS = OrderKind.XY, Ordering.LESS
+    for v in i.ordered_values():
+        top = None
+        for alpha in samples:
+            if cmp(v, alpha, XY, policy) is not LESS:
+                if top is None or cmp(top, alpha, XY, policy) is LESS:
+                    top = alpha
+        if top is None or cmp(top, v, XY, policy) is not Ordering.EQUAL:
             return False
     return True
 

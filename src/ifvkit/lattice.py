@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import DEFAULT_POLICY, Ifv, NumericPolicy, OrderKind, Ordering, cmp, score
+from .core import DEFAULT_POLICY, Ifv, NumericPolicy, OrderKind, _GREATER, _LESS, cmp, score
 from .errors import EmptyCollection, InconsistentScan
 
 __all__ = [
@@ -67,7 +67,7 @@ def meet2(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Ifv:
     """The smaller of a, b under the chosen order (a when equal)."""
-    return b if cmp(a, b, ord, policy) is Ordering.GREATER else a
+    return b if cmp(a, b, ord, policy) is _GREATER else a
 
 
 def join2(
@@ -77,7 +77,7 @@ def join2(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Ifv:
     """The larger of a, b under the chosen order (a when equal)."""
-    return b if cmp(a, b, ord, policy) is Ordering.LESS else a
+    return b if cmp(a, b, ord, policy) is _LESS else a
 
 
 def inf_finite(
@@ -85,12 +85,13 @@ def inf_finite(
     ord: OrderKind = OrderKind.XY,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Ifv:
-    """Minimum of a nonempty collection under the chosen linear order."""
+    """Minimum of a nonempty collection under the chosen order (the first if EQUAL)."""
     if not omega:
         raise EmptyCollection("infimum of an empty collection")
     out = omega[0]
     for a in omega[1:]:
-        out = meet2(out, a, ord, policy)
+        if cmp(out, a, ord, policy) is _GREATER:
+            out = a
     return out
 
 
@@ -99,12 +100,13 @@ def sup_finite(
     ord: OrderKind = OrderKind.XY,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Ifv:
-    """Maximum of a nonempty collection under the chosen linear order."""
+    """Maximum of a nonempty collection under the chosen order (the first if EQUAL)."""
     if not omega:
         raise EmptyCollection("supremum of an empty collection")
     out = omega[0]
     for a in omega[1:]:
-        out = join2(out, a, ord, policy)
+        if cmp(out, a, ord, policy) is _LESS:
+            out = a
     return out
 
 

@@ -27,6 +27,26 @@ def qrofns(draw, q: float) -> Qrofn:
     return make_qrofn(mu, nu, q)
 
 
+@st.composite
+def near_ties(draw, a: Ifv, eps: float) -> Ifv:
+    """An IFV one order key of which differs from a's by 0.5, 1 or 2 eps.
+
+    Each move shifts one key (score, L or accuracy) by the drawn gap and keeps
+    another fixed, so the pair lands inside, on or just outside the band in
+    which cmp calls keys tied.  Moves off the domain are clipped back.
+    """
+    d = draw(st.sampled_from([0.5, 1.0, 2.0])) * eps * draw(st.sampled_from([-1.0, 1.0]))
+    room = 2.0 - a.mu - a.nu
+    mu, nu = {
+        "score": (a.mu + d / 2, a.nu - d / 2),  # accuracy kept
+        "accuracy": (a.mu + d / 2, a.nu + d / 2),  # score kept
+        "l": (a.mu + d * room, a.nu - d * room),  # accuracy kept
+        "accuracy at equal l": (a.mu + d * (1.0 - a.mu) / room, a.nu + d * (1.0 - a.nu) / room),
+    }[draw(st.sampled_from(["score", "accuracy", "l", "accuracy at equal l"]))]
+    mu = min(1.0, max(0.0, mu))
+    return make_ifv(mu, min(1.0 - mu, max(0.0, nu)))
+
+
 def random_ifvs(rng: np.random.Generator, n: int) -> list[Ifv]:
     """n uniform IFVs on the triangle mu + nu <= 1."""
     u = rng.random(n)

@@ -20,7 +20,7 @@ from ifvkit import (
     similarity_l,
 )
 
-from conftest import ifvs, well_separated
+from conftest import ifvs, near_ties, well_separated
 
 
 class TestMakeIfv:
@@ -153,6 +153,42 @@ class TestCmp:
         inside = cmp(a, g) is Ordering.LESS and cmp(g, b) is Ordering.LESS
         chars = abs(score(g) - s) <= 1e-9 and a.mu < g.mu < b.mu
         assert inside == chars
+
+
+def reference_cmp(a, b, ord, policy):
+    """cmp spelled out with the public functionals and NumericPolicy.close."""
+    primary = score if ord is OrderKind.XY else similarity_l
+    for key in (primary, accuracy):
+        x, y = key(a), key(b)
+        if not policy.close(x, y):
+            return Ordering.LESS if x < y else Ordering.GREATER
+    return Ordering.EQUAL
+
+
+class TestCmpKernel:
+    @given(
+        st.data(),
+        ifvs(),
+        st.sampled_from(list(OrderKind)),
+        st.sampled_from([NumericPolicy(eps_order=e) for e in (1e-9, 1e-6, 1e-12)]),
+    )
+    def test_matches_reference(self, data, a, ord, policy):
+        b = data.draw(st.one_of(ifvs(), near_ties(a, policy.eps_order)))
+        assert cmp(a, b, ord, policy) is reference_cmp(a, b, ord, policy)
+        assert cmp(b, a, ord, policy) is reference_cmp(b, a, ord, policy)
+
+    @pytest.mark.parametrize("ord", list(OrderKind))
+    def test_gap_of_exactly_eps_order_is_a_tie(self, ord):
+        # the accuracies differ by exactly 1e-9, and so do the scores (XY)
+        assert cmp(make_ifv(0.0, 0.0), make_ifv(1e-9, 0.0), ord) is Ordering.EQUAL
+
+    def test_reads_eps_order_not_close(self):
+        class Blind(NumericPolicy):
+            def close(self, x, y):
+                return True
+
+        a, b = make_ifv(0.5, 0.3), make_ifv(0.4, 0.1)
+        assert cmp(a, b, OrderKind.XY, Blind()) is Ordering.LESS
 
 
 def cmp_key(a, ord):

@@ -16,10 +16,11 @@ from ifvkit import (
     level_set,
     make_ifv,
     pointwise_leq,
+    sup_finite,
     zadeh_extend,
 )
 
-from conftest import ifvs
+from conftest import ifvs, near_ties
 
 U = ("x1", "x2", "x3")
 
@@ -110,6 +111,30 @@ class TestDecomposition:
     def test_holds_whenever_samples_cover_the_range(self, i, extra):
         samples = i.ordered_values() + extra
         assert decompose_check(i, samples)
+
+
+    def test_keeps_the_first_of_equal_witnesses(self):
+        # w1 ties with v and with w2, but w2 lies below v (ties are not
+        # transitive), so only w1 rebuilds v
+        i = Ifs.from_pairs(("x",), [(0.5, 0.2)])
+        w1, w2 = make_ifv(0.5 - 6e-10, 0.2), make_ifv(0.5 - 1.2e-9, 0.2)
+        assert decompose_check(i, [w1, w2]) and not decompose_check(i, [w2, w1])
+
+    @given(st.data(), ifss(), st.lists(ifvs(), max_size=3))
+    def test_matches_witness_list_form(self, data, i, extra):
+        pool = i.ordered_values() + extra
+        pool += [data.draw(near_ties(a, 1e-9)) for a in pool]
+        samples = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        assert decompose_check(i, samples) == decompose_by_witness_lists(i, samples)
+
+
+def decompose_by_witness_lists(i, samples):
+    """decompose_check as a witness list and a sup_finite per element."""
+    for x in i.universe:
+        witnesses = [alpha for alpha in samples if cmp(i[x], alpha) is not Ordering.LESS]
+        if not witnesses or cmp(sup_finite(witnesses), i[x]) is not Ordering.EQUAL:
+            return False
+    return True
 
 
 class TestExtension:

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from ifvkit import (
     sup_from_scan,
 )
 
-from conftest import components_close, ifvs, well_separated
+from conftest import components_close, ifvs, near_ties, well_separated
 
 ORDERS = st.sampled_from(list(OrderKind))
 
@@ -83,6 +85,20 @@ class TestFiniteBounds:
         hi = sup_finite(omega, ord)
         assert hi in omega
         assert all(cmp(a, hi, ord) is not Ordering.GREATER for a in omega)
+
+    @pytest.mark.parametrize("ord", list(OrderKind))
+    def test_first_of_equal_elements(self, ord):
+        a, b, top = make_ifv(0.3, 0.2), make_ifv(0.3 + 4e-10, 0.2), make_ifv(0.9, 0.0)
+        assert a != b and cmp(a, b, ord) is Ordering.EQUAL
+        assert inf_finite([a, b], ord) is a and inf_finite([b, top, a], ord) is b
+        assert sup_finite([a, b], ord) is a and sup_finite([b, a], ord) is b
+        assert sup_finite([a, top, b], ord) is top
+
+    @given(st.data(), st.lists(ifvs(), min_size=1, max_size=6), ORDERS)
+    def test_folds_match_meet_and_join(self, data, omega, ord):
+        omega = data.draw(st.permutations(omega + [data.draw(near_ties(a, 1e-9)) for a in omega]))
+        assert inf_finite(omega, ord) is reduce(lambda x, y: meet2(x, y, ord), omega)
+        assert sup_finite(omega, ord) is reduce(lambda x, y: join2(x, y, ord), omega)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCollection):

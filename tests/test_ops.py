@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ifvkit import (
@@ -104,6 +104,7 @@ def test_nonpositive_exponent_rejected(lam):
 
 
 @given(ifvs(), st.floats(0.01, 4.0), st.floats(0.01, 4.0))
+@example(make_ifv(1.0, 5.851999522434648e-270), 1.0, 0.03125)  # float sum exactly 1.0
 def test_scalar_mul_distributes_over_exponent_sum(a, l1, l2):
     lhs = scalar_mul(l1 + l2, a)
     rhs = add(scalar_mul(l1, a), scalar_mul(l2, a))
@@ -137,6 +138,7 @@ class TestAggregators:
             ifwg([], [])
 
     @given(st.lists(ifvs(), min_size=2, max_size=6))
+    @example([make_ifv(0.0, 1.0)] * 3 + [make_ifv(1.0, 1.401298464324817e-45)])
     def test_componentwise_bounds(self, vals):
         w = [1.0 / len(vals)] * len(vals)
         out = ifwa(vals, w)
