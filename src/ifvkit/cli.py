@@ -65,7 +65,7 @@ def _load_json(path: str) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise _SchemaError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too-long ints, too-deep nesting
         raise _SchemaError(f"{path} is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         raise _SchemaError(f"{path}: top-level JSON value must be an object")
@@ -87,7 +87,7 @@ def _weights_from_spec(spec, n: int) -> WeightVector:
         raise _SchemaError(f"{len(spec)} weights for {n} universe elements")
     try:
         return WeightVector(tuple(float(x) for x in spec))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise _SchemaError("'weights' must be a list of numbers or \"equal\"")
 
 
@@ -98,13 +98,13 @@ def _cell(cell, where: tuple, policy: NumericPolicy, rung: bool = False) -> Ifv 
     try:
         mu, nu = float(cell["mu"]), float(cell["nu"])
         q = float(cell["q"]) if rung else None
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         path = "/".join(map(str, where))
         keys = ("mu", "nu", "q") if rung else ("mu", "nu")
         if not isinstance(cell, dict) or any(k not in cell for k in keys):
             names = " and ".join(repr(k) for k in keys)
             raise _SchemaError(f"{path}: expected an object with {names}")
-        raise _SchemaError(f"{path}: non-numeric components")
+        raise _SchemaError(f"{path}: components must be numbers in float range")
     try:
         return make_ifv(mu, nu, policy) if q is None else make_qrofn(mu, nu, q, policy)
     except DomainViolation as exc:
@@ -154,7 +154,7 @@ def _cmd_transport(args: argparse.Namespace) -> int:
     if args.direction == "to-ifv":
         print(to_ifv(make_qrofn(mu, nu, args.q, policy)))
     else:
-        print(from_ifv(make_ifv(mu, nu, policy), args.q, policy))
+        print(from_ifv(make_ifv(mu, nu, policy), args.q))
     return EXIT_OK
 
 
@@ -164,7 +164,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     agg = {"ifwa": ifwa, "ifwg": ifwg, "qrofwa": qrofwa, "qrofwg": qrofwg}[args.op]
     values = _value_list(obj, policy, rung=args.op.startswith("q"))
     weights = _weights_from_spec(obj.get("weights"), len(values))
-    print(agg(values, weights, policy))
+    print(agg(values, weights))
     return EXIT_OK
 
 
@@ -183,7 +183,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         policy = (
             NumericPolicy(eps_order=float(eps)) if eps is not None else _policy_from_args(args)
         )
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise _SchemaError("'eps' must be a number")
     universe = obj.get("universe")
     if not isinstance(universe, list) or not all(isinstance(x, str) for x in universe):

@@ -125,21 +125,25 @@ def _clamp_component(x: float, eps: float, what: str) -> float:
 def _snap(mu: float, nu: float) -> Ifv:
     """Build an IFV from components that an internal formula computed.
 
-    Never raises: each component is clamped to [0, 1], and a sum past 1 is
-    pulled onto the simplex edge by shrinking the larger component, or where
-    that is not representable (``<1.0, 1e-300>``) by capping the smaller one
-    at ``1.0 - larger`` (exact: larger >= 1/2).  Use it where the exact value
-    is admissible and rounding, or a branch within ``eps_order``, moved it off.
+    Never raises: each component is clamped to [0, 1], and the larger one is
+    capped at ``1.0 - smaller``.  If the exact sum still exceeds 1 (the test
+    ``smaller > 1.0 - larger`` is exact for larger >= 1/2 and cannot hold
+    below), the larger component steps down one ulp.  The smaller one is
+    never rounded onto the larger one's ulp grid: ``<1.0, 1e-300>`` becomes
+    ``<0.9999999999999999, 1e-300>``.  Use it where the exact value is
+    admissible and rounding, or a branch within ``eps_order``, moved it off.
     """
     if not (0.0 < mu <= 1.0 and 0.0 < nu <= 1.0 and mu + nu < 1.0):
         mu = min(1.0, max(0.0, mu))
         nu = min(1.0, max(0.0, nu))
         if mu >= nu:
             mu = min(mu, 1.0 - nu)
-            nu = min(nu, 1.0 - mu)
+            if nu > 1.0 - mu:
+                mu = math.nextafter(mu, 0.0)
         else:
             nu = min(nu, 1.0 - mu)
-            mu = min(mu, 1.0 - nu)
+            if mu > 1.0 - nu:
+                nu = math.nextafter(nu, 0.0)
     return Ifv(mu, nu)
 
 

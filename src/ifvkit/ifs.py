@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import DEFAULT_POLICY, BOTTOM, Ifv, NumericPolicy, OrderKind, Ordering, cmp, make_ifv
+from .core import DEFAULT_POLICY, BOTTOM, Ifv, NumericPolicy, cmp, make_ifv
+from .core import _EQUAL, _GREATER, _LESS, _XY
 from .errors import EmptySamples, NonTotalMap, UniverseMismatch
 from .lattice import sup_finite
 
@@ -73,7 +74,7 @@ def pointwise_leq(i1: Ifs, i2: Ifs, policy: NumericPolicy = DEFAULT_POLICY) -> b
     """True iff i1(x) <= i2(x) under the XY order for every x."""
     _require_same_universe(i1, i2)
     return all(
-        cmp(i1[x], i2[x], OrderKind.XY, policy) is not Ordering.GREATER
+        cmp(i1[x], i2[x], _XY, policy) is not _GREATER
         for x in i1.universe
     )
 
@@ -83,7 +84,7 @@ def level_set(i: Ifs, alpha: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> set
     return {
         x
         for x in i.universe
-        if cmp(i[x], alpha, OrderKind.XY, policy) is not Ordering.LESS
+        if cmp(i[x], alpha, _XY, policy) is not _LESS
     }
 
 
@@ -99,14 +100,13 @@ def decompose_check(
     """
     if not samples:
         raise EmptySamples("decomposition check needs at least one sample value")
-    XY, LESS = OrderKind.XY, Ordering.LESS
     for v in i.ordered_values():
         top = None
         for alpha in samples:
-            if cmp(v, alpha, XY, policy) is not LESS:
-                if top is None or cmp(top, alpha, XY, policy) is LESS:
+            if cmp(v, alpha, _XY, policy) is not _LESS:
+                if top is None or cmp(top, alpha, _XY, policy) is _LESS:
                     top = alpha
-        if top is None or cmp(top, v, XY, policy) is not Ordering.EQUAL:
+        if top is None or cmp(top, v, _XY, policy) is not _EQUAL:
             return False
     return True
 
@@ -140,7 +140,7 @@ def zadeh_extend(
     for x in i.universe:
         fibers[mapping[x]].append(i[x])
     values = {
-        y: sup_finite(vals, OrderKind.XY, policy) if vals else BOTTOM
+        y: sup_finite(vals, _XY, policy) if vals else BOTTOM
         for y, vals in fibers.items()
     }
     return Ifs(tuple(target), values)

@@ -10,7 +10,7 @@ a AND not-a is always below b OR not-b.
 
 from __future__ import annotations
 
-from .core import DEFAULT_POLICY, Ifv, NumericPolicy, OrderKind, Ordering, _snap, cmp
+from .core import DEFAULT_POLICY, Ifv, NumericPolicy, OrderKind, _GREATER, _XY, _snap, cmp
 from .isomorphism import xy_to_zx, zx_to_xy
 from .lattice import join2, meet2
 
@@ -42,7 +42,7 @@ def negate_zx(a: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
 
 def negate(a: Ifv, ord: OrderKind, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
     """The strong negation matching the given order."""
-    return negate_xy(a, policy) if ord is OrderKind.XY else negate_zx(a, policy)
+    return negate_xy(a, policy) if ord is _XY else negate_zx(a, policy)
 
 
 def kleene_check(
@@ -54,4 +54,4 @@ def kleene_check(
     """True iff meet(a, not-a) <= join(b, not-b) under the given order."""
     lhs = meet2(a, negate(a, ord, policy), ord, policy)
     rhs = join2(b, negate(b, ord, policy), ord, policy)
-    return cmp(lhs, rhs, ord, policy) is not Ordering.GREATER
+    return cmp(lhs, rhs, ord, policy) is not _GREATER

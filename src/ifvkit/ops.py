@@ -4,14 +4,16 @@ The binary laws come in dual pairs: ``add`` (probabilistic sum on membership,
 product on non-membership) and ``mul`` (its mirror image), ``intersect`` and
 ``union_`` (componentwise min/max).  ``ifwa``/``ifwg`` are the weighted
 averaging/geometric folds of ``add``/``scalar_mul`` resp. ``mul``/``power``.
+
+Exponents and weights are checked on entry; after that every result is
+admissible up to rounding and is built with ``core._snap``, not re-validated.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-from .core import DEFAULT_POLICY, Ifv, NumericPolicy, make_ifv
+from .core import Ifv, _snap
 from .errors import BadParameter, LengthMismatch
 
 __all__ = [
@@ -26,10 +28,7 @@ __all__ = [
     "ifwg",
 ]
 
-# Above this many factors, weighted products switch to log-space to limit
-# underflow; below it, direct products are faster and bit-identical to the
-# naive formula.
-_LOG_SPACE_THRESHOLD = 64
+_WEIGHT_SUM_TOL = 1e-9
 
 
 def complement_bar(a: Ifv) -> Ifv:
@@ -55,44 +54,57 @@ def add(a: Ifv, b: Ifv) -> Ifv:
     """<mu_a + mu_b - mu_a*mu_b, nu_a*nu_b>.
 
     Evaluated as mu_a + mu_b*(1 - mu_a), which is exact at both absorbing
-    ends (top in the first slot, bottom in the second); clamped through
-    make_ifv against ulp overshoot elsewhere.
+    ends (top in the first slot, bottom in the second); snapped onto the
+    simplex against ulp overshoot elsewhere.
     """
-    return make_ifv(a.mu + b.mu * (1.0 - a.mu), a.nu * b.nu)
+    return _snap(a.mu + b.mu * (1.0 - a.mu), a.nu * b.nu)
 
 
 def mul(a: Ifv, b: Ifv) -> Ifv:
     """<mu_a*mu_b, nu_a + nu_b - nu_a*nu_b>, the dual of :func:`add`."""
-    return make_ifv(a.mu * b.mu, a.nu + b.nu * (1.0 - a.nu))
+    return _snap(a.mu * b.mu, a.nu + b.nu * (1.0 - a.nu))
 
 
-def _require_positive(lam: float) -> None:
+def _exponent(lam: float) -> float:
     if not (lam > 0.0):
         raise BadParameter(f"exponent must be > 0, got {lam!r}")
+    return float(lam)
 
 
-def scalar_mul(lam: float, a: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
+def scalar_mul(lam: float, a: Ifv) -> Ifv:
     """<1 - (1 - mu)^lam, nu^lam> for lam > 0."""
-    _require_positive(lam)
-    return make_ifv(1.0 - (1.0 - a.mu) ** lam, a.nu**lam, policy)
+    lam = _exponent(lam)
+    return _snap(1.0 - (1.0 - a.mu) ** lam, a.nu**lam)
 
 
-def power(a: Ifv, lam: float, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
+def power(a: Ifv, lam: float) -> Ifv:
     """<mu^lam, 1 - (1 - nu)^lam> for lam > 0."""
-    _require_positive(lam)
-    return make_ifv(a.mu**lam, 1.0 - (1.0 - a.nu) ** lam, policy)
+    lam = _exponent(lam)
+    return _snap(a.mu**lam, 1.0 - (1.0 - a.nu) ** lam)
+
+
+def _check_weights(weights: Sequence[float]) -> None:
+    """Raise BadParameter unless each weight is in (0, 1] and they sum to 1 within 1e-9."""
+    if len(weights) == 0:
+        raise BadParameter("weight vector must be nonempty")
+    for j, wj in enumerate(weights):
+        if not (0.0 < wj <= 1.0):
+            raise BadParameter(f"weight {j} is {wj!r}, must be in (0, 1]")
+    total = sum(weights)
+    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        raise BadParameter(f"weights sum to {total!r}, must be 1")
 
 
 def _weighted_product(factors: Sequence[float], weights: Sequence[float]) -> float:
-    """prod(f_i^w_i), with zero factors short-circuiting to 0."""
-    if any(f == 0.0 for f in factors):
-        return 0.0
-    if len(factors) > _LOG_SPACE_THRESHOLD:
-        return math.exp(sum(w * math.log(f) for f, w in zip(factors, weights)))
+    """prod(f_i^w_i), left to right.
+
+    With weights checked by :func:`_check_weights`, every partial product is
+    at least min(f_i) ** (1 + 1e-9), so the direct product cannot underflow.
+    """
     out = 1.0
     for f, w in zip(factors, weights):
         out *= f**w
-    return out
+    return float(out)
 
 
 def _check_lengths(values: Sequence[Ifv], weights: Sequence[float]) -> None:
@@ -102,25 +114,19 @@ def _check_lengths(values: Sequence[Ifv], weights: Sequence[float]) -> None:
         raise LengthMismatch("need at least one value")
 
 
-def ifwa(
-    values: Sequence[Ifv],
-    weights: Sequence[float],
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> Ifv:
+def ifwa(values: Sequence[Ifv], weights: Sequence[float]) -> Ifv:
     """Weighted averaging fold: <1 - prod(1-mu_i)^w_i, prod(nu_i)^w_i>."""
     _check_lengths(values, weights)
+    _check_weights(weights)
     mu = 1.0 - _weighted_product([1.0 - v.mu for v in values], weights)
     nu = _weighted_product([v.nu for v in values], weights)
-    return make_ifv(mu, nu, policy)
+    return _snap(mu, nu)
 
 
-def ifwg(
-    values: Sequence[Ifv],
-    weights: Sequence[float],
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> Ifv:
+def ifwg(values: Sequence[Ifv], weights: Sequence[float]) -> Ifv:
     """Weighted geometric fold: <prod(mu_i)^w_i, 1 - prod(1-nu_i)^w_i>."""
     _check_lengths(values, weights)
+    _check_weights(weights)
     mu = _weighted_product([v.mu for v in values], weights)
     nu = 1.0 - _weighted_product([1.0 - v.nu for v in values], weights)
-    return make_ifv(mu, nu, policy)
+    return _snap(mu, nu)

@@ -22,6 +22,7 @@ from .core import (
     NumericPolicy,
     Ordering,
     OrderKind,
+    _XY,
     _clamp_component,
     _snap,
     cmp,
@@ -61,6 +62,9 @@ class QOrderKind(enum.Enum):
     LW = "lw"  # XY on the powered images: score, then accuracy
     X = "x"  # rooted score, then rooted accuracy; the same order as LW
     WU = "wu"  # ZX on the powered images: similarity L, then accuracy
+
+
+_WU, _ZX = QOrderKind.WU, OrderKind.ZX
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,13 @@ def make_qrofn(
         raise DomainViolation(
             f"mu^q + nu^q = {total!r} exceeds 1 beyond tolerance {eps} (q={q})"
         )
-    if total > 1.0:
-        # Snap onto the boundary by shrinking the larger component.
+    return _qsnap(mu, nu, q)
+
+
+def _qsnap(mu: float, nu: float, q: float) -> Qrofn:
+    """Build a q-ROFN from components in [0, 1] that an internal formula computed,
+    shrinking the larger one if the powered sum is past 1.  Never raises."""
+    if mu**q + nu**q > 1.0:
         if mu >= nu:
             mu = (1.0 - nu**q) ** (1.0 / q)
         else:
@@ -160,8 +169,7 @@ def qcmp(
     agrees with the transported one by construction.
     """
     _same_rung([a, b])
-    ifv_ord = OrderKind.ZX if ord is QOrderKind.WU else OrderKind.XY
-    return cmp(to_ifv(a), to_ifv(b), ifv_ord, policy)
+    return cmp(to_ifv(a), to_ifv(b), _ZX if ord is _WU else _XY, policy)
 
 
 def to_ifv(a: Qrofn) -> Ifv:
@@ -173,17 +181,14 @@ def to_ifv(a: Qrofn) -> Ifv:
     return _snap(a.mu**a.q, a.nu**a.q)
 
 
-def from_ifv(a: Ifv, q: float, policy: NumericPolicy = DEFAULT_POLICY) -> Qrofn:
-    """Inverse rung transport: <mu, nu> -> <mu^(1/q), nu^(1/q)> at rung q."""
+def from_ifv(a: Ifv, q: float) -> Qrofn:
+    """Inverse rung transport: <mu, nu> -> <mu^(1/q), nu^(1/q)> at rung q.
+    ``a`` is admissible, so the roots are only snapped back, not validated."""
     q = _check_rung(q)
-    return make_qrofn(a.mu ** (1.0 / q), a.nu ** (1.0 / q), q, policy)
+    return _qsnap(a.mu ** (1.0 / q), a.nu ** (1.0 / q), q)
 
 
-def lift(
-    f: Callable[..., Ifv],
-    args: Sequence[Qrofn],
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> Qrofn:
+def lift(f: Callable[..., Ifv], args: Sequence[Qrofn]) -> Qrofn:
     """Transport an n-ary IFV operator to q-ROFNs by conjugation.
 
     Maps each argument to its IFV image, applies ``f``, and maps the result
@@ -192,34 +197,26 @@ def lift(
     if not args:
         raise LengthMismatch("lift needs at least one argument")
     q = _same_rung(args)
-    return from_ifv(f(*(to_ifv(a) for a in args)), q, policy)
+    return from_ifv(f(*(to_ifv(a) for a in args)), q)
 
 
 def negate_lw(a: Qrofn, policy: NumericPolicy = DEFAULT_POLICY) -> Qrofn:
     """Strong negation for the LW order: :func:`~ifvkit.negation.negate_xy`
     lifted to the rung of ``a``."""
-    return lift(lambda x: negate_xy(x, policy), [a], policy)
+    return lift(lambda x: negate_xy(x, policy), [a])
 
 
 def negate_wu(a: Qrofn, policy: NumericPolicy = DEFAULT_POLICY) -> Qrofn:
     """Strong negation for the Wu order: :func:`~ifvkit.negation.negate_zx`
     lifted to the rung of ``a``."""
-    return lift(lambda x: negate_zx(x, policy), [a], policy)
+    return lift(lambda x: negate_zx(x, policy), [a])
 
 
-def qrofwa(
-    values: Sequence[Qrofn],
-    weights: Sequence[float],
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> Qrofn:
+def qrofwa(values: Sequence[Qrofn], weights: Sequence[float]) -> Qrofn:
     """Weighted averaging aggregator at any rung (lifted from IFVs)."""
-    return lift(lambda *ifvs: ifwa(ifvs, weights, policy), values, policy)
+    return lift(lambda *ifvs: ifwa(ifvs, weights), values)
 
 
-def qrofwg(
-    values: Sequence[Qrofn],
-    weights: Sequence[float],
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> Qrofn:
+def qrofwg(values: Sequence[Qrofn], weights: Sequence[float]) -> Qrofn:
     """Weighted geometric aggregator at any rung (lifted from IFVs)."""
-    return lift(lambda *ifvs: ifwg(ifvs, weights, policy), values, policy)
+    return lift(lambda *ifvs: ifwg(ifvs, weights), values)

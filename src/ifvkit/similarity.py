@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 from .core import DEFAULT_POLICY, Ifv, NumericPolicy, accuracy, score
 from .errors import BadParameter, EmptyPatternSet, LengthMismatch, UniverseMismatch
 from .ifs import Ifs
+from .ops import _check_weights
 
 __all__ = [
     "WeightVector",
@@ -28,9 +29,6 @@ __all__ = [
     "classify",
 ]
 
-_WEIGHT_SUM_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """Positive weights summing to 1, positionally matched to a universe."""
@@ -38,14 +36,7 @@ class WeightVector:
     w: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.w:
-            raise BadParameter("weight vector must be nonempty")
-        for j, wj in enumerate(self.w):
-            if not (0.0 < wj <= 1.0):
-                raise BadParameter(f"weight {j} is {wj!r}, must be in (0, 1]")
-        total = sum(self.w)
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise BadParameter(f"weights sum to {total!r}, must be 1")
+        _check_weights(self.w)
 
     def __len__(self) -> int:
         return len(self.w)

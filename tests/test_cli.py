@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifvkit.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RUNG, EXIT_SCHEMA, main
 
@@ -152,6 +156,7 @@ class TestLattice:
 
 
 AGG, LAT = "aggregate", "lattice"
+HUGE = 10**400  # a JSON integer literal beyond float range
 
 
 class TestMalformedValues:
@@ -198,6 +203,26 @@ class TestMalformedValues:
             pytest.param(
                 LAT, "sup", {"values": [{"mu": 1.2, "nu": 0.0}]}, EXIT_DOMAIN, id="lat-domain"
             ),
+            pytest.param(
+                AGG, "ifwa", {"values": [{"mu": HUGE, "nu": 0.3}]}, EXIT_SCHEMA, id="agg-huge-mu"
+            ),
+            pytest.param(
+                LAT, "inf", {"values": [{"mu": 0.5, "nu": HUGE}]}, EXIT_SCHEMA, id="lat-huge-nu"
+            ),
+            pytest.param(
+                AGG,
+                "qrofwa",
+                {"values": [{"mu": 0.6, "nu": 0.8, "q": HUGE}]},
+                EXIT_SCHEMA,
+                id="agg-huge-q",
+            ),
+            pytest.param(
+                AGG,
+                "ifwg",
+                {"values": [{"mu": 0.5, "nu": 0.3}], "weights": [HUGE]},
+                EXIT_SCHEMA,
+                id="agg-huge-weight",
+            ),
         ],
     )
     def test_exit_code(self, capsys, tmp_path, verb, op, doc, expected):
@@ -207,6 +232,85 @@ class TestMalformedValues:
         assert code == expected
         if "weights" not in doc:
             assert "values/0" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"values": [{"mu": ' + "1" * 5000 + ', "nu": 0}]}', id="long-int"),
+            pytest.param("[" * 100_000, id="deep-nesting"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [(AGG, "--op", "ifwa"), (LAT, "--op", "sup"), ("classify",)],
+        ids=["aggregate", "lattice", "classify"],
+    )
+    def test_unparsable_document(self, capsys, tmp_path, text, argv):
+        f = tmp_path / "values.json"
+        f.write_text(text)
+        code, _, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == EXIT_SCHEMA
+        assert "not valid JSON" in err
+
+
+# Documents near the valid shapes, with any part possibly replaced by any JSON.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+_numbers = st.floats(0.0, 1.0) | st.just(2) | st.floats() | st.integers(-HUGE, HUGE)
+_cells = (
+    st.fixed_dictionaries(
+        {"mu": st.floats(0.0, 0.5), "nu": st.floats(0.0, 0.5)}, optional={"q": st.just(2)}
+    )
+    | st.fixed_dictionaries({"mu": _numbers, "nu": _numbers}, optional={"q": _numbers})
+    | _json
+)
+_weights = st.just("equal") | st.lists(_numbers, max_size=3) | _json
+_rows = st.fixed_dictionaries({"x": _cells, "y": _cells}) | _json
+_documents = (
+    st.fixed_dictionaries(
+        {"values": st.lists(_cells, min_size=1, max_size=3) | _json},
+        optional={"weights": _weights},
+    )
+    | st.fixed_dictionaries(
+        {
+            "universe": st.just(["x", "y"]) | _json,
+            "patterns": st.dictionaries(st.text(max_size=3), _rows, min_size=1, max_size=2)
+            | _json,
+            "unknown": _rows,
+        },
+        optional={
+            "weights": _weights,
+            "eps": _numbers | _json,
+            "order": st.sampled_from(["xy", "zx"]) | _json,
+        },
+    )
+    | _json
+)
+
+
+@pytest.mark.parametrize(
+    "before,after",
+    [
+        ((AGG,), ("--op", "ifwa")),
+        ((AGG,), ("--op", "qrofwg")),
+        ((LAT,), ("--op", "inf", "--order", "zx")),
+        (("classify",), ()),
+        (("--format", "json", "classify"), ()),
+    ],
+    ids=["aggregate-ifwa", "aggregate-qrofwg", "lattice-inf", "classify", "classify-json"],
+)
+@settings(max_examples=150, deadline=None)
+@given(doc=_documents)
+def test_any_json_document_keeps_the_exit_contract(tmp_path_factory, before, after, doc):
+    f = tmp_path_factory.getbasetemp() / "any-document.json"
+    f.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*before, str(f), *after])
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_DOMAIN, EXIT_RUNG)
 
 
 class TestClassify:
@@ -260,7 +364,7 @@ class TestClassify:
         assert code == EXIT_DOMAIN
         assert "I2/x5" in err
 
-    @pytest.mark.parametrize("eps", ["abc", [1e-9]])
+    @pytest.mark.parametrize("eps", ["abc", [1e-9], pytest.param(HUGE, id="huge")])
     def test_schema_error_on_non_numeric_eps(self, capsys, tmp_path, eps):
         request = json.loads((DATA / "building_materials.json").read_text())
         request["eps"] = eps

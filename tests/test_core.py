@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ifvkit import (
@@ -19,6 +20,7 @@ from ifvkit import (
     score,
     similarity_l,
 )
+from ifvkit.core import _snap
 
 from conftest import ifvs, near_ties, well_separated
 
@@ -52,6 +54,25 @@ class TestMakeIfv:
 
     def test_text_rendering(self):
         assert str(make_ifv(0.5, 0.25)) == "⟨0.5, 0.25⟩"
+
+    def test_sum_of_exactly_one_float_steps_the_larger_component(self):
+        assert make_ifv(1.0, 5.85e-270) == Ifv(0.9999999999999999, 5.85e-270)
+
+
+class TestSnap:
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(0.9999999999999988, 1.2560739669470186e-15)
+    @example(1.0, 5.85e-270)
+    def test_lands_on_the_simplex_moving_only_the_larger_component(self, x, y):
+        for mu, nu in ((x, y), (y, x)):
+            a = _snap(mu, nu)
+            assert Fraction(a.mu) + Fraction(a.nu) <= 1
+            if mu >= nu:
+                assert a.nu == nu and a.mu <= mu
+            else:
+                assert a.mu == mu and a.nu <= nu
+            if Fraction(mu) + Fraction(nu) <= 1:
+                assert (a.mu, a.nu) == (mu, nu)
 
 
 class TestFunctionals:

@@ -1,3 +1,7 @@
+import math
+import random
+
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -145,12 +149,44 @@ class TestAggregators:
         assert min(v.mu for v in vals) - 1e-12 <= out.mu <= max(v.mu for v in vals) + 1e-12
         assert min(v.nu for v in vals) - 1e-12 <= out.nu <= max(v.nu for v in vals) + 1e-12
 
-    def test_long_input_log_space(self):
+    @pytest.mark.parametrize("agg", [ifwa, ifwg])
+    @pytest.mark.parametrize(
+        "w",
+        [[0.9, 0.9], [2.0, -1.0], [math.nan, 1.0], [math.inf, 0.5], [0.0, 1.0]],
+        ids=["sum-1.8", "negative", "nan", "inf", "zero"],
+    )
+    def test_bad_weights_rejected(self, agg, w):
+        with pytest.raises(BadParameter):
+            agg([make_ifv(0.5, 0.3), make_ifv(0.2, 0.6)], w)
+
+    def test_long_row(self):
         vals = [make_ifv(0.3, 0.6)] * 200
         w = [1.0 / 200] * 200
         out = ifwa(vals, w)
         assert components_close(out, vals[0], 1e-9)
-        # a zero factor short-circuits instead of poisoning the log
+        # a zero factor makes the product exactly 0
         vals[0] = make_ifv(1.0, 0.0)
         out = ifwa(vals, w)
         assert out.mu == 1.0 and out.nu == 0.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_long_row_matches_fsum_of_logs(self, seed):
+        rng = random.Random(seed)
+        vals = [make_ifv(rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5)) for _ in range(256)]
+        raw = [rng.uniform(0.5, 1.5) for _ in vals]
+        w = [r / math.fsum(raw) for r in raw]
+
+        def product(factors):
+            return math.exp(math.fsum(wi * math.log(f) for f, wi in zip(factors, w)))
+
+        avg, geo = ifwa(vals, w), ifwg(vals, w)
+        assert avg.mu == pytest.approx(1.0 - product([1.0 - v.mu for v in vals]), rel=1e-14)
+        assert avg.nu == pytest.approx(product([v.nu for v in vals]), rel=1e-14)
+        assert geo.mu == pytest.approx(product([v.mu for v in vals]), rel=1e-14)
+        assert geo.nu == pytest.approx(1.0 - product([1.0 - v.nu for v in vals]), rel=1e-14)
+
+    def test_numpy_weights_give_python_floats(self):
+        vals = [make_ifv(0.5, 0.3), make_ifv(0.2, 0.6)]
+        for agg in (ifwa, ifwg):
+            out = agg(vals, np.array([0.4, 0.6]))
+            assert type(out.mu) is float and type(out.nu) is float

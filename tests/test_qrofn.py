@@ -133,6 +133,7 @@ class TestTransport:
         )
 
     @given(st.sampled_from(RUNGS).flatmap(lambda q: st.tuples(st.just(q), qrofns(q))))
+    @example((5.5, Qrofn(0.9999999999999998, 0.0019531249999999996, 5.5)))
     def test_round_trip(self, arg):
         q, a = arg
         assert qclose(from_ifv(to_ifv(a), q), a, 1e-9)
@@ -146,6 +147,7 @@ class TestTransport:
         assert to_ifv(a) == make_ifv(0.5, 0.3)
 
     @given(st.sampled_from(RUNGS).flatmap(lambda q: st.tuples(st.just(q), qrofns(q))))
+    @example((5.5, Qrofn(0.9999999999999998, 0.0019531249999999996, 5.5)))
     def test_lift_of_identity(self, arg):
         q, a = arg
         out = lift(lambda x: x, [a])
@@ -217,6 +219,16 @@ class TestAggregators:
             qrofwa([make_qrofn(0.5, 0.5, 2.0)], [0.5, 0.5])
         with pytest.raises(LengthMismatch):
             qrofwg([make_qrofn(0.5, 0.5, 2.0)], [0.5, 0.5])
+
+    @pytest.mark.parametrize("agg", [qrofwa, qrofwg])
+    @pytest.mark.parametrize(
+        "w",
+        [[0.9, 0.9], [2.0, -1.0], [math.nan, 1.0], [math.inf, 0.5], [0.0, 1.0]],
+        ids=["sum-1.8", "negative", "nan", "inf", "zero"],
+    )
+    def test_bad_weights_rejected(self, agg, w):
+        with pytest.raises(BadParameter):
+            agg([make_qrofn(0.6, 0.8, 2.0), make_qrofn(0.8, 0.6, 2.0)], w)
 
     def test_rung_mismatch(self):
         with pytest.raises(RungMismatch):
