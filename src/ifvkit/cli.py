@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -31,6 +32,7 @@ EXIT_DOMAIN = 3
 EXIT_RUNG = 4
 
 _ORDER_TOKENS = {Ordering.LESS: "LT", Ordering.EQUAL: "EQ", Ordering.GREATER: "GT"}
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # what a JSON "\ud800" escape decodes to
 
 
 class _SchemaError(Exception):
@@ -193,6 +195,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     patterns_obj = obj.get("patterns")
     if not isinstance(patterns_obj, dict) or not patterns_obj:
         raise _SchemaError("'patterns' must be a nonempty object")
+    if any(map(_LONE_SURROGATE.search, (*universe, *patterns_obj))):
+        raise _SchemaError("labels must be text a report can print, not lone surrogates")
     if "unknown" not in obj:
         raise _SchemaError("'unknown' is required")
     patterns = [

@@ -3,7 +3,9 @@
 The binary laws come in dual pairs: ``add`` (probabilistic sum on membership,
 product on non-membership) and ``mul`` (its mirror image), ``intersect`` and
 ``union_`` (componentwise min/max).  ``ifwa``/``ifwg`` are the weighted
-averaging/geometric folds of ``add``/``scalar_mul`` resp. ``mul``/``power``.
+averaging/geometric folds of ``add``/``scalar_mul`` resp. ``mul``/``power``,
+each written once on component sequences (``_wa``/``_wg``); ``qrofwa`` and
+``qrofwg`` run the same folds on the powered components of q-rung values.
 
 Exponents and weights are checked on entry; after that every result is
 admissible up to rounding and is built with ``core._snap``, not re-validated.
@@ -11,6 +13,7 @@ admissible up to rounding and is built with ``core._snap``, not re-validated.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .core import Ifv, _snap
@@ -96,37 +99,37 @@ def _check_weights(weights: Sequence[float]) -> None:
 
 
 def _weighted_product(factors: Sequence[float], weights: Sequence[float]) -> float:
-    """prod(f_i^w_i), left to right.
+    """prod(f_i^w_i), left to right (``math.prod`` multiplies floats in order).
 
     With weights checked by :func:`_check_weights`, every partial product is
     at least min(f_i) ** (1 + 1e-9), so the direct product cannot underflow.
     """
-    out = 1.0
-    for f, w in zip(factors, weights):
-        out *= f**w
-    return float(out)
+    return float(math.prod(map(pow, factors, weights)))
 
 
-def _check_lengths(values: Sequence[Ifv], weights: Sequence[float]) -> None:
+def _check_args(values: Sequence, weights: Sequence[float]) -> None:
     if len(values) != len(weights):
         raise LengthMismatch(f"{len(values)} values vs {len(weights)} weights")
     if not values:
         raise LengthMismatch("need at least one value")
+    _check_weights(weights)
+
+
+def _wa(mus: Sequence[float], nus: Sequence[float], w: Sequence[float]) -> Ifv:
+    return _snap(1.0 - _weighted_product([1.0 - m for m in mus], w), _weighted_product(nus, w))
+
+
+def _wg(mus: Sequence[float], nus: Sequence[float], w: Sequence[float]) -> Ifv:
+    return _snap(_weighted_product(mus, w), 1.0 - _weighted_product([1.0 - n for n in nus], w))
 
 
 def ifwa(values: Sequence[Ifv], weights: Sequence[float]) -> Ifv:
     """Weighted averaging fold: <1 - prod(1-mu_i)^w_i, prod(nu_i)^w_i>."""
-    _check_lengths(values, weights)
-    _check_weights(weights)
-    mu = 1.0 - _weighted_product([1.0 - v.mu for v in values], weights)
-    nu = _weighted_product([v.nu for v in values], weights)
-    return _snap(mu, nu)
+    _check_args(values, weights)
+    return _wa([v.mu for v in values], [v.nu for v in values], weights)
 
 
 def ifwg(values: Sequence[Ifv], weights: Sequence[float]) -> Ifv:
     """Weighted geometric fold: <prod(mu_i)^w_i, 1 - prod(1-nu_i)^w_i>."""
-    _check_lengths(values, weights)
-    _check_weights(weights)
-    mu = _weighted_product([v.mu for v in values], weights)
-    nu = 1.0 - _weighted_product([1.0 - v.nu for v in values], weights)
-    return _snap(mu, nu)
+    _check_args(values, weights)
+    return _wg([v.mu for v in values], [v.nu for v in values], weights)

@@ -3,10 +3,10 @@
 A Qrofn is a pair <mu, nu> with mu^q + nu^q <= 1, carrying its rung q >= 1.
 Raising components to the q-th power identifies the rung-q space with the IFV
 space, and that bijection transports everything built for IFVs back to any
-rung.  Nothing here is written a second time: every order is
-:func:`~ifvkit.core.cmp` on the :func:`to_ifv` images, and every negation and
-aggregator is an IFV one carried across by :func:`lift`.  :func:`scores` keeps
-the five ranking functionals of the q-rung literature; no order reads them.
+rung.  Nothing is written twice: orders are :func:`~ifvkit.core.cmp` on the
+:func:`to_ifv` images, negations are IFV ones carried across by :func:`lift`,
+and ``qrofwa``/``qrofwg`` run the IFWA/IFWG folds of ``ops`` on the powered
+components.  No order reads the five ranking functionals of :func:`scores`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
@@ -29,7 +30,7 @@ from .core import (
 )
 from .errors import BadParameter, DomainViolation, LengthMismatch, RungMismatch
 from .negation import negate_xy, negate_zx
-from .ops import ifwa, ifwg
+from .ops import _check_args, _wa, _wg
 
 __all__ = [
     "Qrofn",
@@ -148,6 +149,8 @@ def scores(a: Qrofn) -> QrofnScores:
 
 
 def _same_rung(values: Sequence[Qrofn]) -> float:
+    if not values:
+        raise LengthMismatch("need at least one value")
     q = values[0].q
     for v in values[1:]:
         if v.q != q:
@@ -194,8 +197,6 @@ def lift(f: Callable[..., Ifv], args: Sequence[Qrofn]) -> Qrofn:
     Maps each argument to its IFV image, applies ``f``, and maps the result
     back at the shared rung.  All arguments must carry the same rung.
     """
-    if not args:
-        raise LengthMismatch("lift needs at least one argument")
     q = _same_rung(args)
     return from_ifv(f(*(to_ifv(a) for a in args)), q)
 
@@ -212,11 +213,22 @@ def negate_wu(a: Qrofn, policy: NumericPolicy = DEFAULT_POLICY) -> Qrofn:
     return lift(lambda x: negate_zx(x, policy), [a])
 
 
+def _aggregate(fold: Callable, values: Sequence[Qrofn], weights: Sequence[float]) -> Qrofn:
+    """Check the arguments, run ``fold`` on the components mu_i^q, nu_i^q, and root back."""
+    q = _same_rung(values)
+    _check_args(values, weights)
+    mus, nus = [v.mu**q for v in values], [v.nu**q for v in values]
+    # rounding is monotone: fl(m + n) < 1 means m + n < 1, where _snap moves nothing
+    for i in [i for i, s in enumerate(map(add, mus, nus)) if s >= 1.0]:
+        mus[i], nus[i] = (p := _snap(mus[i], nus[i])).mu, p.nu
+    return from_ifv(fold(mus, nus, weights), q)
+
+
 def qrofwa(values: Sequence[Qrofn], weights: Sequence[float]) -> Qrofn:
-    """Weighted averaging aggregator at any rung (lifted from IFVs)."""
-    return lift(lambda *ifvs: ifwa(ifvs, weights), values)
+    """Weighted averaging aggregator at any rung: IFWA on the powered components."""
+    return _aggregate(_wa, values, weights)
 
 
 def qrofwg(values: Sequence[Qrofn], weights: Sequence[float]) -> Qrofn:
-    """Weighted geometric aggregator at any rung (lifted from IFVs)."""
-    return lift(lambda *ifvs: ifwg(ifvs, weights), values)
+    """Weighted geometric aggregator at any rung: IFWG on the powered components."""
+    return _aggregate(_wg, values, weights)

@@ -254,10 +254,12 @@ class TestMalformedValues:
 
 
 # Documents near the valid shapes, with any part possibly replaced by any JSON.
+# Text may hold lone surrogates, which st.text() leaves out by default.
+_text = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=4)
 _json = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | _text,
     lambda kids: st.lists(kids, max_size=3)
-    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    | st.dictionaries(_text, kids, max_size=3),
     max_leaves=8,
 )
 _numbers = st.floats(0.0, 1.0) | st.just(2) | st.floats() | st.integers(-HUGE, HUGE)
@@ -278,7 +280,7 @@ _documents = (
     | st.fixed_dictionaries(
         {
             "universe": st.just(["x", "y"]) | _json,
-            "patterns": st.dictionaries(st.text(max_size=3), _rows, min_size=1, max_size=2)
+            "patterns": st.dictionaries(_text, _rows, min_size=1, max_size=2)
             | _json,
             "unknown": _rows,
         },
@@ -308,7 +310,9 @@ _documents = (
 def test_any_json_document_keeps_the_exit_contract(tmp_path_factory, before, after, doc):
     f = tmp_path_factory.getbasetemp() / "any-document.json"
     f.write_text(json.dumps(doc))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    # a real stdout encodes what it prints; a StringIO would take a lone surrogate
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = main([*before, str(f), *after])
     assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_DOMAIN, EXIT_RUNG)
 
@@ -349,6 +353,22 @@ class TestClassify:
         assert obj["winner"] == "I4"
         assert obj["similarities"]["I4"] == pytest.approx(0.6491, abs=5e-4)
         assert [label for label, _ in obj["ranking"]] == ["I4", "I3", "I1", "I2"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("where", ["pattern", "element"])
+    def test_lone_surrogate_label_is_schema_error(self, capsys, tmp_path, fmt, where):
+        doc = json.loads((DATA / "building_materials.json").read_text())
+        if where == "pattern":
+            doc["patterns"]["\ud800"] = doc["patterns"].pop("I1")
+        else:
+            doc["universe"][0] = "\udfff"
+            for row in [*doc["patterns"].values(), doc["unknown"]]:
+                row["\udfff"] = row.pop("x1")
+        f = tmp_path / "surrogate.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "--format", fmt, "classify", str(f))
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert "lone surrogate" in err
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "classify", str(DATA / "building_materials.json"))

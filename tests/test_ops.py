@@ -22,6 +22,7 @@ from ifvkit import (
     scalar_mul,
     union_,
 )
+from ifvkit.ops import _weighted_product
 
 from conftest import components_close, ifvs
 
@@ -184,6 +185,17 @@ class TestAggregators:
         assert avg.nu == pytest.approx(product([v.nu for v in vals]), rel=1e-14)
         assert geo.mu == pytest.approx(product([v.mu for v in vals]), rel=1e-14)
         assert geo.nu == pytest.approx(1.0 - product([1.0 - v.nu for v in vals]), rel=1e-14)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_weighted_product_is_the_left_to_right_loop(self, seed):
+        rng = random.Random(seed)
+        factors = [1.0 if seed % 2 and i % 7 == 0 else rng.random() for i in range(256)]
+        raw = [rng.uniform(0.5, 1.5) for _ in factors]
+        w = [r / math.fsum(raw) for r in raw]
+        out = 1.0
+        for f, wi in zip(factors, w):
+            out *= f**wi
+        assert _weighted_product(factors, w) == out
 
     def test_numpy_weights_give_python_floats(self):
         vals = [make_ifv(0.5, 0.3), make_ifv(0.2, 0.6)]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given
@@ -14,6 +15,7 @@ from ifvkit import (
     RungMismatch,
     from_ifv,
     ifwa,
+    ifwg,
     lift,
     make_ifv,
     make_qrofn,
@@ -34,6 +36,30 @@ from conftest import components_close, ifvs, qrofns, well_separated
 
 RUNGS = [1.0, 2.0, 3.0, 5.5]
 QORDERS = st.sampled_from(list(QOrderKind))
+
+
+@st.composite
+def boundary_qrofns(draw, q: float) -> Qrofn:
+    """A q-ROFN on the rung boundary, (m, (1 - m**q) ** (1/q)), in either order."""
+    m = draw(st.floats(0.0, 1.0))
+    mu, nu = m, (1.0 - m**q) ** (1.0 / q)
+    return make_qrofn(*((nu, mu) if draw(st.booleans()) else (mu, nu)), q)
+
+
+@st.composite
+def weighted_rows(draw):
+    """A row of 1-300 same-rung q-ROFNs, half of them on the rung boundary, and
+    weights.  Hypothesis draws up to 8 values; a seeded Random fills the rest."""
+    q = draw(st.sampled_from(RUNGS))
+    n = draw(st.integers(1, 300) | st.sampled_from([1, 8, 64, 256, 300]))
+    values = draw(st.lists(qrofns(q) | boundary_qrofns(q), min_size=1, max_size=min(n, 8)))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    while len(values) < n:
+        m, room = rnd.random(), rnd.choice([1.0, rnd.random()])
+        pair = (m, (room * (1.0 - m**q)) ** (1.0 / q))
+        values.append(make_qrofn(*(pair[::-1] if rnd.random() < 0.5 else pair), q))
+    raw = [rnd.uniform(0.01, 1.0) for _ in values]
+    return values, [r / math.fsum(raw) for r in raw]
 
 
 def qclose(a: Qrofn, b: Qrofn, tol: float) -> bool:
@@ -248,3 +274,12 @@ class TestAggregators:
         out = qrofwa(values, [0.4, 0.6])
         ref = ifwa([make_ifv(0.5, 0.3), make_ifv(0.2, 0.6)], [0.4, 0.6])
         assert components_close(out, ref, 1e-12)
+
+    @given(weighted_rows())
+    @example(([Qrofn(0.9999999999999998, 0.0019531249999999996, 5.5)] * 2, [0.25, 0.75]))
+    @example(([make_qrofn(0, 0, 3)], [1.0]))
+    def test_equal_to_the_lifted_ifv_aggregators(self, row):
+        # the fold on powered components is the transport of ifwa/ifwg, bit for bit
+        values, w = row
+        assert qrofwa(values, w) == lift(lambda *x: ifwa(x, w), values)
+        assert qrofwg(values, w) == lift(lambda *x: ifwg(x, w), values)
