@@ -11,7 +11,10 @@ orders are provided:
 All equality decisions in comparators are taken within an explicit tolerance
 carried by a :class:`NumericPolicy`; exact-real branch conditions become
 tolerance bands in floating point, and the policy makes that band configurable
-instead of implicit.
+instead of implicit.  ``cmp`` reads L through the score of the value's image
+under the order isomorphism, (mu - nu) / (1 - min(mu, nu)), which increases
+strictly with L; the isomorphism keeps the accuracy, so a tolerance band
+means the same for a pair under ZX as for its images under XY.
 """
 
 from __future__ import annotations
@@ -191,15 +194,18 @@ def cmp(
 ) -> Ordering:
     """Three-valued comparison under the chosen linear order.
 
-    Primary keys (``score`` for XY, ``similarity_l`` for ZX) are compared
-    first; ties within ``eps_order`` fall through to the ``accuracy``, which
-    is evaluated only then.  EQUAL means both keys agree within ``eps_order``,
-    which is read directly: overriding ``NumericPolicy.close`` changes nothing.
+    Primary keys are compared first: the ``score`` for XY, and for ZX the
+    score of the ``zx_to_xy`` image, (mu - nu) / (1 - min(mu, nu)), which
+    orders as ``similarity_l`` does.  Ties within ``eps_order`` fall through
+    to the ``accuracy``, which is evaluated only then.  EQUAL means both keys
+    agree within ``eps_order``, which is read directly: overriding
+    ``NumericPolicy.close`` changes nothing.
     """
     if ord is _XY:
         pa, pb = a.mu - a.nu, b.mu - b.nu
     else:
-        pa, pb = (1.0 - a.nu) / (2.0 - a.mu - a.nu), (1.0 - b.nu) / (2.0 - b.mu - b.nu)
+        pa = (a.mu - a.nu) / (1.0 - (a.mu if a.mu < a.nu else a.nu))
+        pb = (b.mu - b.nu) / (1.0 - (b.mu if b.mu < b.nu else b.nu))
     if not abs(pa - pb) <= policy.eps_order:
         return _LESS if pa < pb else _GREATER
     sa, sb = a.mu + a.nu, b.mu + b.nu

@@ -47,7 +47,11 @@ class InconsistentScan(IfvkitError):
 
 
 class InconsistentBranch(IfvkitError):
-    """A branch formula was evaluated with a degenerate denominator."""
+    """A branch formula was evaluated with a degenerate denominator.
+
+    No formula raises it any more: the order isomorphism divides only by
+    quantities of at least 1/2.  It stays importable for callers that catch it.
+    """
 
 
 class NonTotalMap(IfvkitError):

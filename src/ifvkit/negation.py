@@ -25,7 +25,9 @@ def negate_xy(a: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
     tolerance band cannot introduce a discontinuity.  Inside the band the
     balanced branch can put a component up to ``eps_order`` below 0 (for
     ``<0.5 + d, 0.5 - d>``); the result is snapped onto the domain, so it is
-    off from the exact value by at most ``eps_order``.
+    off from the exact value by at most ``eps_order``.  The band matches the
+    one ``cmp`` ties scores in: an exact branch test here lets ``kleene_check``
+    fail on values whose scores ``cmp`` calls tied with 0.
     """
     mu, nu = a.mu, a.nu
     if policy.close(mu, nu):
@@ -37,7 +39,7 @@ def negate_xy(a: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
 
 def negate_zx(a: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
     """Strong negation for the ZX order, by conjugation with the isomorphism."""
-    return xy_to_zx(negate_xy(zx_to_xy(a, policy), policy), policy)
+    return xy_to_zx(negate_xy(zx_to_xy(a), policy))
 
 
 def negate(a: Ifv, ord: OrderKind, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from ifvkit import Ifv, Qrofn, make_ifv, make_qrofn
+from ifvkit import Ifv, Qrofn, make_ifv, make_qrofn, xy_to_zx, zx_to_xy
 
 
 @st.composite
@@ -31,20 +31,27 @@ def qrofns(draw, q: float) -> Qrofn:
 def near_ties(draw, a: Ifv, eps: float) -> Ifv:
     """An IFV one order key of which differs from a's by 0.5, 1 or 2 eps.
 
-    Each move shifts one key (score, L or accuracy) by the drawn gap and keeps
-    another fixed, so the pair lands inside, on or just outside the band in
-    which cmp calls keys tied.  Moves off the domain are clipped back.
+    Each move shifts one key (score, the ZX key or accuracy) by the drawn gap
+    and keeps another fixed, so the pair lands inside, on or just outside the
+    band in which cmp calls keys tied.  The ZX key is the score of the
+    zx_to_xy image, and the isomorphism keeps accuracy, so that move shifts
+    the image's score and maps back.  Moves off the domain are clipped back.
     """
     d = draw(st.sampled_from([0.5, 1.0, 2.0])) * eps * draw(st.sampled_from([-1.0, 1.0]))
-    room = 2.0 - a.mu - a.nu
-    mu, nu = {
-        "score": (a.mu + d / 2, a.nu - d / 2),  # accuracy kept
-        "accuracy": (a.mu + d / 2, a.nu + d / 2),  # score kept
-        "l": (a.mu + d * room, a.nu - d * room),  # accuracy kept
-        "accuracy at equal l": (a.mu + d * (1.0 - a.mu) / room, a.nu + d * (1.0 - a.nu) / room),
-    }[draw(st.sampled_from(["score", "accuracy", "l", "accuracy at equal l"]))]
+    move = draw(st.sampled_from(["score", "accuracy", "zx key", "accuracy at equal zx key"]))
+    if move == "zx key":
+        img = zx_to_xy(a)
+        mu, nu = img.mu + d / 2, img.nu - d / 2
+    else:
+        room = 2.0 - a.mu - a.nu
+        mu, nu = {
+            "score": (a.mu + d / 2, a.nu - d / 2),  # accuracy kept
+            "accuracy": (a.mu + d / 2, a.nu + d / 2),  # score kept
+            "accuracy at equal zx key": (a.mu + d * (1.0 - a.mu) / room, a.nu + d * (1.0 - a.nu) / room),
+        }[move]
     mu = min(1.0, max(0.0, mu))
-    return make_ifv(mu, min(1.0 - mu, max(0.0, nu)))
+    b = make_ifv(mu, min(1.0 - mu, max(0.0, nu)))
+    return xy_to_zx(b) if move == "zx key" else b
 
 
 def random_ifvs(rng: np.random.Generator, n: int) -> list[Ifv]:

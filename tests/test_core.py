@@ -19,6 +19,7 @@ from ifvkit import (
     make_ifv,
     score,
     similarity_l,
+    zx_to_xy,
 )
 from ifvkit.core import _snap
 
@@ -105,8 +106,13 @@ class TestFunctionals:
         assert similarity_l(make_ifv(mu, nu)) == pytest.approx(expected)
 
     @given(ifvs())
+    @example(make_ifv(0.0, 1.8908501792100255e-09))
     def test_l_half_iff_balanced(self, a):
-        assert (abs(similarity_l(a) - 0.5) <= 1e-9) == (abs(a.mu - a.nu) <= 1e-9)
+        # L - 1/2 = (mu - nu) / (2 (2 - mu - nu)): it vanishes exactly when
+        # mu = nu, and is between (mu - nu)/4 and (mu - nu)/2, so an eps band
+        # around L = 1/2 is not the same band around mu = nu
+        gap = (a.mu - a.nu) / (2.0 * (2.0 - a.mu - a.nu))
+        assert abs(similarity_l(a) - 0.5 - gap) <= 1e-15
 
 
 class TestCmp:
@@ -176,9 +182,14 @@ class TestCmp:
         assert inside == chars
 
 
+def zx_key(a):
+    """The score of zx_to_xy(a) in closed form, the key cmp reads for ZX."""
+    return (a.mu - a.nu) / (1.0 - min(a.mu, a.nu))
+
+
 def reference_cmp(a, b, ord, policy):
     """cmp spelled out with the public functionals and NumericPolicy.close."""
-    primary = score if ord is OrderKind.XY else similarity_l
+    primary = score if ord is OrderKind.XY else zx_key
     for key in (primary, accuracy):
         x, y = key(a), key(b)
         if not policy.close(x, y):
@@ -187,6 +198,12 @@ def reference_cmp(a, b, ord, policy):
 
 
 class TestCmpKernel:
+    @given(ifvs())
+    def test_zx_key_is_the_image_score_and_increases_with_l(self, a):
+        assert abs(zx_key(a) - score(zx_to_xy(a))) <= 4e-16
+        ell = similarity_l(a)
+        assert abs(zx_key(a) - (2.0 * ell - 1.0) / max(ell, 1.0 - ell)) <= 1e-15
+
     @given(
         st.data(),
         ifvs(),

@@ -19,6 +19,7 @@ from ifvkit import (
     negate_zx,
     score,
     union_,
+    zx_to_xy,
 )
 
 from conftest import components_close, ifvs, near_corner, well_separated
@@ -90,8 +91,16 @@ class TestNegateZX:
         assert components_close(out, make_ifv(0.2, 0.2), 1e-12)
 
     @given(ifvs())
+    @example(make_ifv(0.0, 3.725290298461914e-09))
+    @example(make_ifv(0.0, 1.9443251316272922e-09))
+    @example(make_ifv(0.9999999999999998, 0.0))
     def test_involution(self, a):
-        tol = 1e-5 if near_corner(a) else 1e-9
+        # the isomorphism divides only by quantities >= 1/2, so the round
+        # trip is good to a few ulps up to the corners; next to the edge of
+        # negate_xy's balanced band on the image, the two applications can
+        # take different branches, which differ by at most eps_order / 2
+        gap = abs(score(zx_to_xy(a)))
+        tol = 1e-14 if (gap == 0.0 or gap > 2e-9) else 1e-9
         assert components_close(negate_zx(negate_zx(a)), a, tol)
 
     @given(ifvs(), ifvs())

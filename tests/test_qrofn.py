@@ -219,6 +219,7 @@ class TestNegations:
         assert qcmp(negate_lw(b), negate_lw(a)) is not Ordering.GREATER
 
     @given(st.sampled_from(RUNGS).flatmap(lambda q: st.tuples(qrofns(q), qrofns(q))))
+    @example((make_qrofn(0.5, 0.5, 2.0), make_qrofn(6.103515625e-05, 0.0, 2.0)))
     def test_kleene_for_both_negations(self, pair):
         a, b = pair
         na, nb = negate_lw(a), negate_lw(b)
