@@ -31,6 +31,7 @@ EXIT_SCHEMA = 2
 EXIT_DOMAIN = 3
 EXIT_RUNG = 4
 
+_EXIT_CODES = {DomainViolation: EXIT_DOMAIN, RungMismatch: EXIT_RUNG}  # any other error: 2
 _ORDER_TOKENS = {Ordering.LESS: "LT", Ordering.EQUAL: "EQ", Ordering.GREATER: "GT"}
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # what a JSON "\ud800" escape decodes to
 
@@ -56,9 +57,9 @@ def _parse_pair(text: str) -> tuple[float, float]:
         raise _SchemaError(f"non-numeric components in {text!r}")
 
 
-def _parse_ifv(text: str, policy: NumericPolicy) -> Ifv:
+def _parse_ifv(text: str) -> Ifv:
     mu, nu = _parse_pair(text)
-    return make_ifv(mu, nu, policy)
+    return make_ifv(mu, nu)
 
 
 def _load_json(path: str) -> dict:
@@ -74,12 +75,6 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _policy_from_args(args: argparse.Namespace) -> NumericPolicy:
-    if getattr(args, "eps", None) is None:
-        return DEFAULT_POLICY
-    return NumericPolicy(eps_order=args.eps)
-
-
 def _weights_from_spec(spec, n: int) -> WeightVector:
     if spec == "equal" or spec is None:
         return equal_weights(n)
@@ -93,7 +88,7 @@ def _weights_from_spec(spec, n: int) -> WeightVector:
         raise _SchemaError("'weights' must be a list of numbers or \"equal\"")
 
 
-def _cell(cell, where: tuple, policy: NumericPolicy, rung: bool = False) -> Ifv | Qrofn:
+def _cell(cell, where: tuple, rung: bool = False) -> Ifv | Qrofn:
     """Validate one JSON value: an object with numeric 'mu' and 'nu', and a
     numeric 'q' when ``rung`` is set.  Errors name the cell by its JSON path,
     the parts of ``where`` joined by '/'."""
@@ -108,21 +103,19 @@ def _cell(cell, where: tuple, policy: NumericPolicy, rung: bool = False) -> Ifv 
             raise _SchemaError(f"{path}: expected an object with {names}")
         raise _SchemaError(f"{path}: components must be numbers in float range")
     try:
-        return make_ifv(mu, nu, policy) if q is None else make_qrofn(mu, nu, q, policy)
+        return make_ifv(mu, nu) if q is None else make_qrofn(mu, nu, q)
     except DomainViolation as exc:
         raise DomainViolation(f"{'/'.join(map(str, where))}: {exc}") from exc
 
 
-def _value_list(obj: dict, policy: NumericPolicy, rung: bool = False) -> list:
+def _value_list(obj: dict, rung: bool = False) -> list:
     rows = obj.get("values")
     if not isinstance(rows, list) or not rows:
         raise _SchemaError("'values' must be a nonempty list")
-    return [_cell(row, ("values", i), policy, rung) for i, row in enumerate(rows)]
+    return [_cell(row, ("values", i), rung) for i, row in enumerate(rows)]
 
 
-def _value_row(
-    row: dict, universe: Sequence[str], owner: str, policy: NumericPolicy
-) -> Ifs:
+def _value_row(row: dict, universe: Sequence[str], owner: str) -> Ifs:
     if not isinstance(row, dict):
         raise _SchemaError(f"{owner}: values must be an object keyed by element")
     missing = [x for x in universe if x not in row]
@@ -131,50 +124,45 @@ def _value_row(
     extra = [x for x in row if x not in universe]
     if extra:
         raise _SchemaError(f"{owner}: unknown elements {extra}")
-    values = {x: _cell(row[x], (owner, x), policy) for x in universe}
+    values = {x: _cell(row[x], (owner, x)) for x in universe}
     return Ifs(tuple(universe), values)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    policy = _policy_from_args(args)
-    a = _parse_ifv(args.a, policy)
-    b = _parse_ifv(args.b, policy)
-    print(_ORDER_TOKENS[cmp(a, b, _parse_order(args.order), policy)])
+    a = _parse_ifv(args.a)
+    b = _parse_ifv(args.b)
+    print(_ORDER_TOKENS[cmp(a, b, _parse_order(args.order), args.policy)])
     return EXIT_OK
 
 
 def _cmd_negate(args: argparse.Namespace) -> int:
-    policy = _policy_from_args(args)
-    a = _parse_ifv(args.a, policy)
-    print(negate(a, _parse_order(args.order), policy))
+    a = _parse_ifv(args.a)
+    print(negate(a, _parse_order(args.order), args.policy))
     return EXIT_OK
 
 
 def _cmd_transport(args: argparse.Namespace) -> int:
-    policy = _policy_from_args(args)
     mu, nu = _parse_pair(args.a)
     if args.direction == "to-ifv":
-        print(to_ifv(make_qrofn(mu, nu, args.q, policy)))
+        print(to_ifv(make_qrofn(mu, nu, args.q)))
     else:
-        print(from_ifv(make_ifv(mu, nu, policy), args.q))
+        print(from_ifv(make_ifv(mu, nu), args.q))
     return EXIT_OK
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    policy = _policy_from_args(args)
     obj = _load_json(args.file)
     agg = {"ifwa": ifwa, "ifwg": ifwg, "qrofwa": qrofwa, "qrofwg": qrofwg}[args.op]
-    values = _value_list(obj, policy, rung=args.op.startswith("q"))
+    values = _value_list(obj, rung=args.op.startswith("q"))
     weights = _weights_from_spec(obj.get("weights"), len(values))
     print(agg(values, weights))
     return EXIT_OK
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    policy = _policy_from_args(args)
-    values = _value_list(_load_json(args.file), policy)
+    values = _value_list(_load_json(args.file))
     bound = inf_finite if args.op == "inf" else sup_finite
-    print(bound(values, _parse_order(args.order), policy))
+    print(bound(values, _parse_order(args.order), args.policy))
     return EXIT_OK
 
 
@@ -182,9 +170,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     obj = _load_json(args.file)
     eps = obj.get("eps")
     try:
-        policy = (
-            NumericPolicy(eps_order=float(eps)) if eps is not None else _policy_from_args(args)
-        )
+        policy = NumericPolicy(eps_order=float(eps)) if eps is not None else args.policy
     except (TypeError, ValueError, OverflowError):
         raise _SchemaError("'eps' must be a number")
     universe = obj.get("universe")
@@ -200,10 +186,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if "unknown" not in obj:
         raise _SchemaError("'unknown' is required")
     patterns = [
-        (label, _value_row(row, universe, label, policy))
+        (label, _value_row(row, universe, label))
         for label, row in patterns_obj.items()
     ]
-    unknown = _value_row(obj["unknown"], universe, "unknown", policy)
+    unknown = _value_row(obj["unknown"], universe, "unknown")
     result = classify(unknown, patterns, weights, policy)
     if args.format == "json":
         print(
@@ -283,19 +269,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 2 on bad usage, which matches the schema-error code
         return int(exc.code or 0)
     try:
+        args.policy = DEFAULT_POLICY if args.eps is None else NumericPolicy(eps_order=args.eps)
         return args.func(args)
-    except _SchemaError as exc:
+    except (_SchemaError, IfvkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except RungMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNG
-    except DomainViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except IfvkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return _EXIT_CODES.get(type(exc), EXIT_SCHEMA)
 
 
 if __name__ == "__main__":

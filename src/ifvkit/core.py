@@ -8,13 +8,15 @@ orders are provided:
 * ``OrderKind.ZX`` ranks by the similarity functional
   L = (1 - nu) / ((1 - mu) + (1 - nu)), breaking ties by the accuracy.
 
-All equality decisions in comparators are taken within an explicit tolerance
-carried by a :class:`NumericPolicy`; exact-real branch conditions become
-tolerance bands in floating point, and the policy makes that band configurable
-instead of implicit.  ``cmp`` reads L through the score of the value's image
-under the order isomorphism, (mu - nu) / (1 - min(mu, nu)), which increases
-strictly with L; the isomorphism keeps the accuracy, so a tolerance band
-means the same for a pair under ZX as for its images under XY.
+All equality decisions in comparators are taken within one explicit
+tolerance, the ``eps_order`` of a :class:`NumericPolicy`; exact-real ties
+become a band in floating point, and the policy makes that band configurable
+instead of implicit.  Construction clamps last-ulp noise past the domain's
+edges within a fixed 1e-12, which is not configurable.  ``cmp`` reads L
+through the score of the value's image under the order isomorphism,
+(mu - nu) / (1 - min(mu, nu)), which increases strictly with L; the
+isomorphism keeps the accuracy, so a tolerance band means the same for a pair
+under ZX as for its images under XY.
 """
 
 from __future__ import annotations
@@ -42,29 +44,26 @@ __all__ = [
 ]
 
 
+# How far outside [0, 1] (or past mu + nu = 1) a constructed value may stray
+# before it is rejected rather than clamped.
+_EPS_DOMAIN = 1e-12
+
+
 @dataclass(frozen=True)
 class NumericPolicy:
-    """Tolerance configuration for comparisons and domain validation.
+    """The comparison tolerance.
 
-    ``eps_order`` governs equality of scores/accuracies/similarity keys in
-    comparators and branch selection; ``eps_domain`` governs how far outside
-    [0, 1] (or past mu + nu = 1) a constructed value may stray before it is
-    rejected rather than clamped.
+    Two scores, accuracies or similarity keys whose gap is at most
+    ``eps_order`` are equal in comparators and branch selection.
     """
 
     eps_order: float = 1e-9
-    eps_domain: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps_domain <= self.eps_order < 1e-3):
+        if not (_EPS_DOMAIN <= self.eps_order < 1e-3):
             raise BadParameter(
-                f"require 0 < eps_domain <= eps_order < 1e-3, "
-                f"got eps_domain={self.eps_domain}, eps_order={self.eps_order}"
+                f"require {_EPS_DOMAIN} <= eps_order < 1e-3, got eps_order={self.eps_order}"
             )
-
-    def close(self, x: float, y: float) -> bool:
-        """Equality of order keys within eps_order."""
-        return abs(x - y) <= self.eps_order
 
 
 DEFAULT_POLICY = NumericPolicy()
@@ -105,8 +104,8 @@ class Ifv:
         return {"mu": self.mu, "nu": self.nu}
 
     @staticmethod
-    def from_json(obj: dict, policy: NumericPolicy = DEFAULT_POLICY) -> "Ifv":
-        return make_ifv(float(obj["mu"]), float(obj["nu"]), policy)
+    def from_json(obj: dict) -> "Ifv":
+        return make_ifv(float(obj["mu"]), float(obj["nu"]))
 
 
 BOTTOM = Ifv(0.0, 1.0)
@@ -115,13 +114,13 @@ TOP = Ifv(1.0, 0.0)
 _XY, _LESS, _GREATER, _EQUAL = OrderKind.XY, Ordering.LESS, Ordering.GREATER, Ordering.EQUAL
 
 
-def _clamp_component(x: float, eps: float, what: str) -> float:
+def _clamp_component(x: float, what: str) -> float:
     if 0.0 < x <= 1.0:  # not 0.0 <= x: the clamp below turns -0.0 into 0.0
         return x
     if not math.isfinite(x):
         raise DomainViolation(f"{what} must be finite, got {x!r}")
-    if x < -eps or x > 1.0 + eps:
-        raise DomainViolation(f"{what}={x!r} outside [0, 1] beyond tolerance {eps}")
+    if x < -_EPS_DOMAIN or x > 1.0 + _EPS_DOMAIN:
+        raise DomainViolation(f"{what}={x!r} outside [0, 1] beyond tolerance {_EPS_DOMAIN}")
     return min(1.0, max(0.0, x))
 
 
@@ -150,18 +149,17 @@ def _snap(mu: float, nu: float) -> Ifv:
     return Ifv(mu, nu)
 
 
-def make_ifv(mu: float, nu: float, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
+def make_ifv(mu: float, nu: float) -> Ifv:
     """Validate and build an IFV, clamping representational noise.
 
-    Values within ``eps_domain`` outside the bounds are snapped to the
+    Values within a fixed 1e-12 outside the bounds are snapped to the
     boundary so that round-trips through the order isomorphisms never fail on
     last-ulp noise.  Genuine violations raise :class:`DomainViolation`.
     """
-    eps = policy.eps_domain
-    mu = _clamp_component(float(mu), eps, "mu")
-    nu = _clamp_component(float(nu), eps, "nu")
-    if mu + nu > 1.0 + eps:
-        raise DomainViolation(f"mu + nu = {mu + nu!r} exceeds 1 beyond tolerance {eps}")
+    mu = _clamp_component(float(mu), "mu")
+    nu = _clamp_component(float(nu), "nu")
+    if mu + nu > 1.0 + _EPS_DOMAIN:
+        raise DomainViolation(f"mu + nu = {mu + nu!r} exceeds 1 beyond tolerance {_EPS_DOMAIN}")
     return _snap(mu, nu)
 
 
@@ -198,8 +196,7 @@ def cmp(
     score of the ``zx_to_xy`` image, (mu - nu) / (1 - min(mu, nu)), which
     orders as ``similarity_l`` does.  Ties within ``eps_order`` fall through
     to the ``accuracy``, which is evaluated only then.  EQUAL means both keys
-    agree within ``eps_order``, which is read directly: overriding
-    ``NumericPolicy.close`` changes nothing.
+    agree within ``eps_order``.
     """
     if ord is _XY:
         pa, pb = a.mu - a.nu, b.mu - b.nu

@@ -48,18 +48,14 @@ class Ifs:
         }
 
     @staticmethod
-    def from_json(obj: dict, policy: NumericPolicy = DEFAULT_POLICY) -> "Ifs":
+    def from_json(obj: dict) -> "Ifs":
         universe = tuple(obj["universe"])
-        values = {x: Ifv.from_json(obj["values"][x], policy) for x in universe}
+        values = {x: Ifv.from_json(obj["values"][x]) for x in universe}
         return Ifs(universe, values)
 
     @staticmethod
-    def from_pairs(
-        universe: Sequence[str],
-        pairs: Iterable[tuple[float, float]],
-        policy: NumericPolicy = DEFAULT_POLICY,
-    ) -> "Ifs":
-        values = {x: make_ifv(mu, nu, policy) for x, (mu, nu) in zip(universe, pairs)}
+    def from_pairs(universe: Sequence[str], pairs: Iterable[tuple[float, float]]) -> "Ifs":
+        values = {x: make_ifv(mu, nu) for x, (mu, nu) in zip(universe, pairs)}
         if len(values) != len(universe):
             raise UniverseMismatch("one (mu, nu) pair per universe element required")
         return Ifs(tuple(universe), values)

@@ -122,8 +122,9 @@ def scan_of(omega: Sequence[Ifv], policy: NumericPolicy = DEFAULT_POLICY) -> Lat
     scores = [score(a) for a in omega]
     xi = min(scores)
     eta = max(scores)
-    mu_hat = min(a.mu for a, s in zip(omega, scores) if policy.close(s, xi))
-    mu_tilde = max(a.mu for a, s in zip(omega, scores) if policy.close(s, eta))
+    eps = policy.eps_order
+    mu_hat = min(a.mu for a, s in zip(omega, scores) if abs(s - xi) <= eps)
+    mu_tilde = max(a.mu for a, s in zip(omega, scores) if abs(s - eta) <= eps)
     return LatticeScan(
         xi=xi,
         eta=eta,

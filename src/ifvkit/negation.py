@@ -30,7 +30,7 @@ def negate_xy(a: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> Ifv:
     fail on values whose scores ``cmp`` calls tied with 0.
     """
     mu, nu = a.mu, a.nu
-    if policy.close(mu, nu):
+    if abs(mu - nu) <= policy.eps_order:
         return _snap(0.5 - mu, 0.5 - nu)
     if mu > nu:
         return _snap((1.0 - mu - nu) / 2.0, (1.0 + mu - 3.0 * nu) / 2.0)

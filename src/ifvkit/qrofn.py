@@ -23,6 +23,7 @@ from .core import (
     NumericPolicy,
     Ordering,
     OrderKind,
+    _EPS_DOMAIN,
     _XY,
     _clamp_component,
     _snap,
@@ -83,8 +84,8 @@ class Qrofn:
         return {"mu": self.mu, "nu": self.nu, "q": self.q}
 
     @staticmethod
-    def from_json(obj: dict, policy: NumericPolicy = DEFAULT_POLICY) -> "Qrofn":
-        return make_qrofn(float(obj["mu"]), float(obj["nu"]), float(obj["q"]), policy)
+    def from_json(obj: dict) -> "Qrofn":
+        return make_qrofn(float(obj["mu"]), float(obj["nu"]), float(obj["q"]))
 
 
 class QrofnScores(NamedTuple):
@@ -104,18 +105,15 @@ def _check_rung(q: float) -> float:
     return q
 
 
-def make_qrofn(
-    mu: float, nu: float, q: float, policy: NumericPolicy = DEFAULT_POLICY
-) -> Qrofn:
+def make_qrofn(mu: float, nu: float, q: float) -> Qrofn:
     """Validate and build a q-ROFN, clamping representational noise."""
     q = _check_rung(q)
-    eps = policy.eps_domain
-    mu = _clamp_component(float(mu), eps, "mu")
-    nu = _clamp_component(float(nu), eps, "nu")
+    mu = _clamp_component(float(mu), "mu")
+    nu = _clamp_component(float(nu), "nu")
     total = mu**q + nu**q
-    if total > 1.0 + eps:
+    if total > 1.0 + _EPS_DOMAIN:
         raise DomainViolation(
-            f"mu^q + nu^q = {total!r} exceeds 1 beyond tolerance {eps} (q={q})"
+            f"mu^q + nu^q = {total!r} exceeds 1 beyond tolerance {_EPS_DOMAIN} (q={q})"
         )
     return _qsnap(mu, nu, q)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import DEFAULT_POLICY, Ifv, NumericPolicy, accuracy, score
-from .errors import BadParameter, EmptyPatternSet, LengthMismatch, UniverseMismatch
-from .ifs import Ifs
+from .errors import BadParameter, EmptyPatternSet, LengthMismatch
+from .ifs import Ifs, _require_same_universe
 from .ops import _check_weights
 
 __all__ = [
@@ -82,14 +82,13 @@ def rho(a: Ifv, b: Ifv, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     accuracy difference.
     """
     sa, sb = score(a), score(b)
-    if policy.close(sa, sb):
+    if abs(sa - sb) <= policy.eps_order:
         return abs(accuracy(a) - accuracy(b)) / 3.0
     return (1.0 + abs(sa - sb)) / 3.0
 
 
 def _check_aligned(i1: Ifs, i2: Ifs, w: WeightVector) -> None:
-    if i1.universe != i2.universe:
-        raise UniverseMismatch(f"universes differ: {i1.universe} vs {i2.universe}")
+    _require_same_universe(i1, i2)
     if len(w) != len(i1.universe):
         raise LengthMismatch(
             f"{len(w)} weights vs {len(i1.universe)} universe elements"

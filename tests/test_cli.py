@@ -403,6 +403,44 @@ class TestClassify:
         assert code == EXIT_SCHEMA
 
 
+class TestEpsFlag:
+    VALUES = {"values": [{"mu": 0.5, "nu": 0.3, "q": 2}, {"mu": 0.2, "nu": 0.6, "q": 2}]}
+    VERBS = {
+        "compare": ("compare", "0.5,0.3", "0.4,0.1"),
+        "negate": ("negate", "0.5,0.3"),
+        "transport": ("transport", "0.6,0.8", "--q", "2", "--direction", "to-ifv"),
+        "aggregate": ("aggregate", "{values}", "--op", "qrofwa"),
+        "lattice": ("lattice", "{values}", "--op", "inf"),
+        "classify": ("classify", str(DATA / "building_materials.json")),
+    }
+
+    @pytest.mark.parametrize("eps", ["1e-13", "nan"])
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_invalid_eps_exits_2_on_every_verb(self, capsys, tmp_path, verb, eps):
+        f = tmp_path / "values.json"
+        f.write_text(json.dumps(self.VALUES))
+        argv = [arg.format(values=f) for arg in self.VERBS[verb]]
+        assert run(capsys, *argv)[0] == EXIT_OK
+        code, out, err = run(capsys, "--eps", eps, *argv)
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert "eps_order" in err
+
+    def test_eps_widens_the_tie_band(self, capsys):
+        argv = ("compare", "0.5,0.3", "0.5000005,0.3")
+        assert run(capsys, "--eps", "1e-6", *argv)[:2] == (EXIT_OK, "EQ\n")
+        assert run(capsys, *argv)[:2] == (EXIT_OK, "LT\n")
+
+    def test_flag_is_checked_when_the_classify_file_sets_eps(self, capsys, tmp_path):
+        # the file's "eps" decides the tolerance, but an invalid flag is still an error
+        request = json.loads((DATA / "building_materials.json").read_text())
+        request["eps"] = 1e-6
+        f = tmp_path / "with-eps.json"
+        f.write_text(json.dumps(request))
+        assert run(capsys, "--eps", "1e-6", "classify", str(f))[0] == EXIT_OK
+        code, out, _ = run(capsys, "--eps", "1e-13", "classify", str(f))
+        assert (code, out) == (EXIT_SCHEMA, "")
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == EXIT_SCHEMA

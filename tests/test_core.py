@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ifvkit import (
     BOTTOM,
     TOP,
+    BadParameter,
     DomainViolation,
     Ifv,
     NumericPolicy,
@@ -17,6 +18,9 @@ from ifvkit import (
     cmp,
     indeterminacy,
     make_ifv,
+    negate_xy,
+    rho,
+    scan_of,
     score,
     similarity_l,
     zx_to_xy,
@@ -46,8 +50,10 @@ class TestMakeIfv:
             make_ifv(float("nan"), 0.0)
 
     def test_policy_validation(self):
-        with pytest.raises(Exception):
-            NumericPolicy(eps_order=1e-12, eps_domain=1e-9)
+        for eps in (1e-13, 1e-3, 0.0, float("nan")):
+            with pytest.raises(BadParameter):
+                NumericPolicy(eps_order=eps)
+        assert NumericPolicy(eps_order=1e-12).eps_order == 1e-12
 
     def test_json_round_trip(self):
         a = make_ifv(0.25, 0.5)
@@ -188,11 +194,11 @@ def zx_key(a):
 
 
 def reference_cmp(a, b, ord, policy):
-    """cmp spelled out with the public functionals and NumericPolicy.close."""
+    """cmp spelled out with the public functionals and the eps_order band."""
     primary = score if ord is OrderKind.XY else zx_key
     for key in (primary, accuracy):
         x, y = key(a), key(b)
-        if not policy.close(x, y):
+        if not abs(x - y) <= policy.eps_order:
             return Ordering.LESS if x < y else Ordering.GREATER
     return Ordering.EQUAL
 
@@ -220,13 +226,17 @@ class TestCmpKernel:
         # the accuracies differ by exactly 1e-9, and so do the scores (XY)
         assert cmp(make_ifv(0.0, 0.0), make_ifv(1e-9, 0.0), ord) is Ordering.EQUAL
 
-    def test_reads_eps_order_not_close(self):
-        class Blind(NumericPolicy):
-            def close(self, x, y):
-                return True
-
-        a, b = make_ifv(0.5, 0.3), make_ifv(0.4, 0.1)
-        assert cmp(a, b, OrderKind.XY, Blind()) is Ordering.LESS
+    def test_one_eps_band_for_cmp_negation_rho_and_scan(self):
+        policy = NumericPolicy(eps_order=1e-6)
+        for gap, tie in ((0.9e-6, True), (1.1e-6, False)):
+            # the score of b exceeds that of a by gap; a has the larger accuracy and mu
+            a, b = make_ifv(0.5, 0.4), make_ifv(0.3 + gap, 0.2)
+            assert cmp(a, b, OrderKind.XY, policy) is (Ordering.GREATER if tie else Ordering.LESS)
+            assert (rho(a, b, policy) < 1.0 / 3.0) is tie  # the accuracy branch
+            scan = scan_of([a, b], policy)
+            assert (scan.mu_hat, scan.mu_tilde) == ((b.mu, a.mu) if tie else (a.mu, b.mu))
+            c = make_ifv(0.4 + gap, 0.4)  # score gap of c to a balanced value
+            assert (negate_xy(c, policy) == make_ifv(0.5 - c.mu, 0.5 - c.nu)) is tie
 
 
 def cmp_key(a, ord):
