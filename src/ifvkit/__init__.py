@@ -30,7 +30,6 @@ from .errors import (
     EmptyPatternSet,
     EmptySamples,
     IfvkitError,
-    InconsistentBranch,
     InconsistentScan,
     LengthMismatch,
     NonTotalMap,

@@ -46,13 +46,5 @@ class InconsistentScan(IfvkitError):
     """A score-scan descriptor violates its own invariants."""
 
 
-class InconsistentBranch(IfvkitError):
-    """A branch formula was evaluated with a degenerate denominator.
-
-    No formula raises it any more: the order isomorphism divides only by
-    quantities of at least 1/2.  It stays importable for callers that catch it.
-    """
-
-
 class NonTotalMap(IfvkitError):
     """An extension mapping is not defined on every universe element."""

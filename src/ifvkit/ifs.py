@@ -9,9 +9,10 @@ crisp map between universes by fiberwise suprema.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import DEFAULT_POLICY, BOTTOM, Ifv, NumericPolicy, cmp, make_ifv
+from .core import DEFAULT_POLICY, BOTTOM, Ifv, NumericPolicy, accuracy, cmp, make_ifv, score
 from .core import _EQUAL, _GREATER, _LESS, _XY
 from .errors import EmptySamples, NonTotalMap, UniverseMismatch
 from .lattice import sup_finite
@@ -21,7 +22,12 @@ __all__ = ["Ifs", "pointwise_leq", "level_set", "decompose_check", "zadeh_extend
 
 @dataclass(frozen=True)
 class Ifs:
-    """Map from an ordered universe of labels to IFVs, total on the universe."""
+    """Map from an ordered universe of labels to IFVs, total on the universe.
+
+    Keys derived from the values (the scores and accuracies that the
+    similarity measures read) are computed once per set and cached, so
+    ``values`` must not be mutated after construction.
+    """
 
     universe: tuple[str, ...]
     values: Mapping[str, Ifv]
@@ -41,6 +47,12 @@ class Ifs:
     def ordered_values(self) -> list[Ifv]:
         return [self.values[x] for x in self.universe]
 
+    @cached_property
+    def _keys(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Scores and accuracies, in universe order."""
+        vals = self.ordered_values()
+        return tuple(map(score, vals)), tuple(map(accuracy, vals))
+
     def to_json(self) -> dict:
         return {
             "universe": list(self.universe),
@@ -50,13 +62,17 @@ class Ifs:
     @staticmethod
     def from_json(obj: dict) -> "Ifs":
         universe = tuple(obj["universe"])
-        values = {x: Ifv.from_json(obj["values"][x]) for x in universe}
-        return Ifs(universe, values)
+        rows = obj["values"]
+        missing = [x for x in universe if x not in rows]
+        if missing:
+            raise UniverseMismatch(f"no value for universe elements {missing}")
+        return Ifs(universe, {x: Ifv.from_json(rows[x]) for x in universe})
 
     @staticmethod
     def from_pairs(universe: Sequence[str], pairs: Iterable[tuple[float, float]]) -> "Ifs":
+        pairs = list(pairs)
         values = {x: make_ifv(mu, nu) for x, (mu, nu) in zip(universe, pairs)}
-        if len(values) != len(universe):
+        if len(values) != len(universe) or len(pairs) != len(universe):
             raise UniverseMismatch("one (mu, nu) pair per universe element required")
         return Ifs(tuple(universe), values)
 

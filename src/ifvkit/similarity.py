@@ -7,6 +7,11 @@ that keeps score separation dominant.  Weighted sums of rho give a metric
 similarity is admissible for the XY order (symmetric, 1 exactly on equal
 sets, and monotone along pointwise-ordered chains).  ``classify`` picks the
 pattern with maximal similarity to an unknown sample.
+
+``rho`` is the reference for the set functions.  ``distance``, ``similarity``
+and ``classify`` evaluate the same expressions, in the same order, on each
+set's cached scores and accuracies, so their results equal the weighted sum
+of ``rho`` bit for bit.
 """
 
 from __future__ import annotations
@@ -95,14 +100,21 @@ def _check_aligned(i1: Ifs, i2: Ifs, w: WeightVector) -> None:
         )
 
 
+def _distance(i1: Ifs, i2: Ifs, w: WeightVector, eps: float) -> float:
+    """``rho``'s two branches inline, on the sets' cached keys."""
+    (s1, h1), (s2, h2) = i1._keys, i2._keys
+    return sum([
+        wj * (abs(ha - hb) / 3.0 if (d := abs(sa - sb)) <= eps else (1.0 + d) / 3.0)
+        for wj, sa, sb, ha, hb in zip(w.w, s1, s2, h1, h2)
+    ])
+
+
 def distance(
     i1: Ifs, i2: Ifs, w: WeightVector, policy: NumericPolicy = DEFAULT_POLICY
 ) -> float:
     """Weighted sum of pointwise rho, a metric on IFSs with values in [0, 1]."""
     _check_aligned(i1, i2, w)
-    return sum(
-        wj * rho(i1[x], i2[x], policy) for x, wj in zip(i1.universe, w)
-    )
+    return _distance(i1, i2, w, policy.eps_order)
 
 
 def similarity(
@@ -122,8 +134,10 @@ def classify(
     most similar, ties broken by ascending label for determinism."""
     if not patterns:
         raise EmptyPatternSet("classification needs at least one pattern")
-    scored = [
-        (label, similarity(pattern, unknown, w, policy)) for label, pattern in patterns
-    ]
+    eps = policy.eps_order
+    scored = []
+    for label, pattern in patterns:
+        _check_aligned(pattern, unknown, w)
+        scored.append((label, 1.0 - _distance(pattern, unknown, w, eps)))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return ClassificationResult(tuple(scored))

@@ -11,11 +11,13 @@ from ifvkit import (
     OrderKind,
     Ordering,
     UniverseMismatch,
+    accuracy,
     cmp,
     decompose_check,
     level_set,
     make_ifv,
     pointwise_leq,
+    score,
     sup_finite,
     zadeh_extend,
 )
@@ -54,6 +56,31 @@ class TestContainer:
     def test_json_round_trip(self):
         i = ifs_of((0.5, 0.3), (0.2, 0.6), (0.0, 0.0))
         assert Ifs.from_json(i.to_json()) == i
+
+    def test_from_pairs_needs_one_pair_per_element(self):
+        with pytest.raises(UniverseMismatch):
+            Ifs.from_pairs(("x",), [(0.1, 0.2), (0.3, 0.4)])
+        with pytest.raises(UniverseMismatch):
+            Ifs.from_pairs(("x", "y"), iter([(0.1, 0.2)]))
+        with pytest.raises(UniverseMismatch):
+            Ifs.from_pairs(("x", "x"), [(0.1, 0.2), (0.3, 0.4)])
+
+    def test_from_json_names_missing_elements(self):
+        with pytest.raises(UniverseMismatch, match=r"\['x'\]"):
+            Ifs.from_json({"universe": ["x"], "values": {}})
+        with pytest.raises(UniverseMismatch, match=r"\['y', 'z'\]"):
+            Ifs.from_json(
+                {"universe": ["x", "y", "z"], "values": {"x": {"mu": 0.1, "nu": 0.2}}}
+            )
+
+    @given(ifss())
+    def test_cached_keys_leave_equality_and_repr_alone(self, i):
+        fresh = Ifs(i.universe, dict(i.values))
+        before = repr(i)
+        scores, accuracies = i._keys
+        assert scores == tuple(score(v) for v in i.ordered_values())
+        assert accuracies == tuple(accuracy(v) for v in i.ordered_values())
+        assert i == fresh and fresh == i and repr(i) == before
 
 
 class TestPointwiseOrder:
