@@ -105,7 +105,10 @@ class Ifv:
 
     @staticmethod
     def from_json(obj: dict) -> "Ifv":
-        return make_ifv(float(obj["mu"]), float(obj["nu"]))
+        try:
+            return make_ifv(float(obj["mu"]), float(obj["nu"]))
+        except KeyError as exc:
+            raise BadParameter(f"IFV JSON has no {exc.args[0]!r} key") from None
 
 
 BOTTOM = Ifv(0.0, 1.0)
@@ -124,8 +127,8 @@ def _clamp_component(x: float, what: str) -> float:
     return min(1.0, max(0.0, x))
 
 
-def _snap(mu: float, nu: float) -> Ifv:
-    """Build an IFV from components that an internal formula computed.
+def _snapped(mu: float, nu: float) -> tuple[float, float]:
+    """Clamp components that an internal formula computed onto the domain.
 
     Never raises: each component is clamped to [0, 1], and the larger one is
     capped at ``1.0 - smaller``.  If the exact sum still exceeds 1 (the test
@@ -146,6 +149,13 @@ def _snap(mu: float, nu: float) -> Ifv:
             nu = min(nu, 1.0 - mu)
             if mu > 1.0 - nu:
                 nu = math.nextafter(nu, 0.0)
+    return mu, nu
+
+
+def _snap(mu: float, nu: float) -> Ifv:
+    """:func:`_snapped` as an IFV; the interior needs no call."""
+    if not (0.0 < mu <= 1.0 and 0.0 < nu <= 1.0 and mu + nu < 1.0):
+        mu, nu = _snapped(mu, nu)
     return Ifv(mu, nu)
 
 

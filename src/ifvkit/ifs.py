@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import DEFAULT_POLICY, BOTTOM, Ifv, NumericPolicy, accuracy, cmp, make_ifv, score
-from .core import _EQUAL, _GREATER, _LESS, _XY
+from .core import _GREATER, _LESS, _XY
 from .errors import EmptySamples, NonTotalMap, UniverseMismatch
 from .lattice import sup_finite
 
@@ -33,9 +33,13 @@ class Ifs:
     values: Mapping[str, Ifv]
 
     def __post_init__(self) -> None:
-        if set(self.values) != set(self.universe):
-            missing = set(self.universe) - set(self.values)
-            extra = set(self.values) - set(self.universe)
+        labels = set(self.universe)
+        if len(labels) != len(self.universe):
+            repeated = sorted({x for x in self.universe if self.universe.count(x) > 1})
+            raise UniverseMismatch(f"universe repeats labels {repeated}")
+        if set(self.values) != labels:
+            missing = labels - set(self.values)
+            extra = set(self.values) - labels
             raise UniverseMismatch(
                 f"values must cover the universe exactly "
                 f"(missing={sorted(missing)}, extra={sorted(extra)})"
@@ -109,16 +113,25 @@ def decompose_check(
     must reproduce i(x).  Holds whenever ``samples`` contains every value
     attained by ``i``.  The supremum is folded while the witnesses are
     filtered, by ``sup_finite``'s rule: the first of EQUAL witnesses is kept.
+    Each decision is ``cmp``'s XY decision, made inline on keys computed
+    once: the score and accuracy of each sample, and ``i``'s cached ones.
     """
     if not samples:
         raise EmptySamples("decomposition check needs at least one sample value")
-    for v in i.ordered_values():
-        top = None
-        for alpha in samples:
-            if cmp(v, alpha, _XY, policy) is not _LESS:
-                if top is None or cmp(top, alpha, _XY, policy) is _LESS:
-                    top = alpha
-        if top is None or cmp(top, v, _XY, policy) is not _EQUAL:
+    eps = policy.eps_order
+    keys = [(a.mu - a.nu, a.mu + a.nu) for a in samples]
+    for sv, hv in zip(*i._keys):
+        st = ht = None  # the keys of the fold's top witness
+        for s, h in keys:
+            # alpha is no witness if cmp(v, alpha) is LESS, and the new top if cmp(top, alpha) is
+            if (sv < s) if not abs(sv - s) <= eps else (not abs(hv - h) <= eps and hv < h):
+                continue
+            if st is None or (
+                (st < s) if not abs(st - s) <= eps else (not abs(ht - h) <= eps and ht < h)
+            ):
+                st, ht = s, h
+        # cmp(top, v) is EQUAL
+        if st is None or not (abs(st - sv) <= eps and abs(ht - hv) <= eps):
             return False
     return True
 

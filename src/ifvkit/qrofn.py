@@ -4,9 +4,11 @@ A Qrofn is a pair <mu, nu> with mu^q + nu^q <= 1, carrying its rung q >= 1.
 Raising components to the q-th power identifies the rung-q space with the IFV
 space, and that bijection transports everything built for IFVs back to any
 rung.  Nothing is written twice: orders are :func:`~ifvkit.core.cmp` on the
-:func:`to_ifv` images, negations are IFV ones carried across by :func:`lift`,
-and ``qrofwa``/``qrofwg`` run the IFWA/IFWG folds of ``ops`` on the powered
-components.  No order reads the five ranking functionals of :func:`scores`.
+:func:`to_ifv` images, negations run the float kernels of ``negation`` on
+the powered components and root the result back (what :func:`lift` gives,
+without building an IFV), and ``qrofwa``/``qrofwg`` run the IFWA/IFWG folds
+of ``ops`` on the powered components.  No order reads the five ranking
+functionals of :func:`scores`.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from .core import (
     _XY,
     _clamp_component,
     _snap,
+    _snapped,
     cmp,
 )
 from .errors import BadParameter, DomainViolation, LengthMismatch, RungMismatch
-from .negation import negate_xy, negate_zx
+from .negation import _negate_xy, _negate_zx
 from .ops import _check_args, _wa, _wg
 
 __all__ = [
@@ -199,16 +202,23 @@ def lift(f: Callable[..., Ifv], args: Sequence[Qrofn]) -> Qrofn:
     return from_ifv(f(*(to_ifv(a) for a in args)), q)
 
 
+def _negated(neg: Callable, a: Qrofn, eps: float) -> Qrofn:
+    """An IFV negation kernel conjugated by rung transport, on floats."""
+    q = a.q
+    mu, nu = neg(*_snapped(a.mu**q, a.nu**q), eps)
+    return _qsnap(mu ** (1.0 / q), nu ** (1.0 / q), q)
+
+
 def negate_lw(a: Qrofn, policy: NumericPolicy = DEFAULT_POLICY) -> Qrofn:
     """Strong negation for the LW order: :func:`~ifvkit.negation.negate_xy`
-    lifted to the rung of ``a``."""
-    return lift(lambda x: negate_xy(x, policy), [a])
+    transported to the rung of ``a``."""
+    return _negated(_negate_xy, a, policy.eps_order)
 
 
 def negate_wu(a: Qrofn, policy: NumericPolicy = DEFAULT_POLICY) -> Qrofn:
     """Strong negation for the Wu order: :func:`~ifvkit.negation.negate_zx`
-    lifted to the rung of ``a``."""
-    return lift(lambda x: negate_zx(x, policy), [a])
+    transported to the rung of ``a``."""
+    return _negated(_negate_zx, a, policy.eps_order)
 
 
 def _aggregate(fold: Callable, values: Sequence[Qrofn], weights: Sequence[float]) -> Qrofn:
@@ -216,9 +226,9 @@ def _aggregate(fold: Callable, values: Sequence[Qrofn], weights: Sequence[float]
     q = _same_rung(values)
     _check_args(values, weights)
     mus, nus = [v.mu**q for v in values], [v.nu**q for v in values]
-    # rounding is monotone: fl(m + n) < 1 means m + n < 1, where _snap moves nothing
+    # rounding is monotone: fl(m + n) < 1 means m + n < 1, where _snapped moves nothing
     for i in [i for i, s in enumerate(map(add, mus, nus)) if s >= 1.0]:
-        mus[i], nus[i] = (p := _snap(mus[i], nus[i])).mu, p.nu
+        mus[i], nus[i] = _snapped(mus[i], nus[i])
     return from_ifv(fold(mus, nus, weights), q)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from ifvkit import Ifv, Qrofn, make_ifv, make_qrofn, xy_to_zx, zx_to_xy
+from ifvkit import BOTTOM, TOP, Ifv, NumericPolicy, Qrofn, make_ifv, make_qrofn, xy_to_zx, zx_to_xy
 
 
 @st.composite
@@ -52,6 +52,37 @@ def near_ties(draw, a: Ifv, eps: float) -> Ifv:
     mu = min(1.0, max(0.0, mu))
     b = make_ifv(mu, min(1.0 - mu, max(0.0, nu)))
     return xy_to_zx(b) if move == "zx key" else b
+
+
+# The corners, the centre and the top of the balanced line, and values one or
+# two ulps inside the corners or past the simplex edge, which make_ifv snaps.
+CORNERS = [
+    BOTTOM,
+    TOP,
+    make_ifv(0.0, 0.0),
+    make_ifv(0.5, 0.5),
+    make_ifv(0.9999999999999998, 0.0),
+    make_ifv(0.0, 0.9999999999999998),
+    make_ifv(1e-300, 1.0),
+    make_ifv(1.0, 1e-300),
+]
+
+# The default comparison tolerance and a wide one.
+POLICIES = st.sampled_from([NumericPolicy(), NumericPolicy(eps_order=1e-6)])
+
+
+@st.composite
+def edge_ifvs(draw) -> Ifv:
+    """An IFV from ifvs(), CORNERS or the balanced line, or a near tie of one.
+
+    The near ties sit 0.5, 1 or 2 times 1e-9 or 1e-6 from the drawn value, so
+    they fall inside, on and just past either tolerance of POLICIES: where the
+    maps and negations switch branch and snapping leaves its fast path.
+    """
+    a = draw(ifvs() | st.sampled_from(CORNERS) | st.floats(0.0, 0.5).map(lambda t: make_ifv(t, t)))
+    if draw(st.booleans()):
+        return a
+    return draw(near_ties(a, draw(st.sampled_from([1e-9, 1e-6]))))
 
 
 def random_ifvs(rng: np.random.Generator, n: int) -> list[Ifv]:

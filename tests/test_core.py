@@ -59,6 +59,11 @@ class TestMakeIfv:
         a = make_ifv(0.25, 0.5)
         assert Ifv.from_json(a.to_json()) == a
 
+    def test_from_json_names_a_missing_component(self):
+        for obj, key in (({"mu": 0.1}, "nu"), ({"nu": 0.2}, "mu"), ({}, "mu")):
+            with pytest.raises(BadParameter, match=f"'{key}'"):
+                Ifv.from_json(obj)
+
     def test_text_rendering(self):
         assert str(make_ifv(0.5, 0.25)) == "⟨0.5, 0.25⟩"
 

@@ -4,9 +4,11 @@ from hypothesis import strategies as st
 
 from ifvkit import (
     BOTTOM,
+    DEFAULT_POLICY,
     TOP,
     EmptySamples,
     Ifs,
+    IfvkitError,
     NonTotalMap,
     OrderKind,
     Ordering,
@@ -22,7 +24,7 @@ from ifvkit import (
     zadeh_extend,
 )
 
-from conftest import ifvs, near_ties
+from conftest import POLICIES, edge_ifvs, ifvs, near_ties
 
 U = ("x1", "x2", "x3")
 
@@ -32,8 +34,8 @@ def ifs_of(*pairs) -> Ifs:
 
 
 @st.composite
-def ifss(draw, universe=U) -> Ifs:
-    vals = {x: draw(ifvs()) for x in universe}
+def ifss(draw, universe=U, values=ifvs()) -> Ifs:
+    vals = {x: draw(values) for x in universe}
     return Ifs(tuple(universe), vals)
 
 
@@ -72,6 +74,16 @@ class TestContainer:
             Ifs.from_json(
                 {"universe": ["x", "y", "z"], "values": {"x": {"mu": 0.1, "nu": 0.2}}}
             )
+
+    def test_from_json_names_a_missing_component(self):
+        with pytest.raises(IfvkitError, match="'nu'"):
+            Ifs.from_json({"universe": ["x"], "values": {"x": {"mu": 0.1}}})
+
+    def test_repeated_labels_rejected(self):
+        with pytest.raises(UniverseMismatch, match=r"\['x'\]"):
+            Ifs.from_json({"universe": ["x", "x"], "values": {"x": {"mu": 0.1, "nu": 0.2}}})
+        with pytest.raises(UniverseMismatch, match=r"\['x1', 'x2'\]"):
+            Ifs(("x1", "x2", "x3", "x2", "x1"), {x: BOTTOM for x in U})
 
     @given(ifss())
     def test_cached_keys_leave_equality_and_repr_alone(self, i):
@@ -154,12 +166,38 @@ class TestDecomposition:
         samples = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
         assert decompose_check(i, samples) == decompose_by_witness_lists(i, samples)
 
+    def test_key_gaps_of_exactly_eps_order_tie(self):
+        # both key gaps are exactly 1e-9, so cmp calls the pair EQUAL
+        i, samples = Ifs.from_pairs(("x",), [(0.0, 0.0)]), [make_ifv(1e-9, 0.0)]
+        assert decompose_check(i, samples) is decompose_by_cmp_fold(i, samples, DEFAULT_POLICY) is True
+
+    @given(st.data(), ifss(values=edge_ifvs()), st.lists(edge_ifvs(), max_size=3), POLICIES)
+    def test_equals_the_cmp_fold(self, data, i, extra, policy):
+        pool = i.ordered_values() + extra
+        pool += [data.draw(near_ties(a, policy.eps_order)) for a in pool]
+        samples = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        assert decompose_check(i, samples, policy) is decompose_by_cmp_fold(i, samples, policy)
+
 
 def decompose_by_witness_lists(i, samples):
     """decompose_check as a witness list and a sup_finite per element."""
     for x in i.universe:
         witnesses = [alpha for alpha in samples if cmp(i[x], alpha) is not Ordering.LESS]
         if not witnesses or cmp(sup_finite(witnesses), i[x]) is not Ordering.EQUAL:
+            return False
+    return True
+
+
+def decompose_by_cmp_fold(i, samples, policy):
+    """decompose_check folded with cmp: the reference whose decisions its
+    inline key comparisons must copy, whatever cmp comes to decide."""
+    for v in i.ordered_values():
+        top = None
+        for alpha in samples:
+            if cmp(v, alpha, OrderKind.XY, policy) is not Ordering.LESS:
+                if top is None or cmp(top, alpha, OrderKind.XY, policy) is Ordering.LESS:
+                    top = alpha
+        if top is None or cmp(top, v, OrderKind.XY, policy) is not Ordering.EQUAL:
             return False
     return True
 

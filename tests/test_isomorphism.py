@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ifvkit import (
     BOTTOM,
@@ -12,8 +13,9 @@ from ifvkit import (
     xy_to_zx,
     zx_to_xy,
 )
+from ifvkit.core import _snap
 
-from conftest import components_close, ifvs
+from conftest import components_close, edge_ifvs, ifvs
 
 
 class TestForward:
@@ -104,3 +106,46 @@ class TestOrderPreservation:
     @given(ifvs(), ifvs())
     def test_inverse(self, a, b):
         assert cmp(a, b, OrderKind.XY) is cmp(xy_to_zx(a), xy_to_zx(b), OrderKind.ZX)
+
+
+def snapped_zx_to_xy(a):
+    """zx_to_xy written as one formula and one _snap: the reference its float
+    kernel must match bit for bit."""
+    mu, nu = a.mu, a.nu
+    if mu > nu:
+        nu_img = nu * (2.0 - mu - nu) / (2.0 * (1.0 - nu))
+        return _snap(nu_img + (mu - nu) / (1.0 - nu), nu_img)
+    if mu < nu:
+        mu_img = mu * (2.0 - mu - nu) / (2.0 * (1.0 - mu))
+        return _snap(mu_img, mu_img + (nu - mu) / (1.0 - mu))
+    return a
+
+
+def snapped_xy_to_zx(a):
+    """xy_to_zx written as one formula and one _snap, like snapped_zx_to_xy."""
+    s = a.mu - a.nu
+    if a.mu > a.nu:
+        nu = (2.0 * a.mu - 2.0 * s) / (2.0 - s)
+        return _snap(2.0 * a.mu - s - nu, nu)
+    if a.mu < a.nu:
+        mu = 2.0 * a.mu / (2.0 + s)
+        return _snap(mu, 2.0 * a.mu * (1.0 + s) / (2.0 + s) - s)
+    return a
+
+
+class TestFloatKernels:
+    @given(edge_ifvs())
+    @example(make_ifv(0.5000000004, 0.4999999996))
+    @example(make_ifv(1e-300, 1.0))
+    def test_maps_equal_the_snapped_formulas(self, a):
+        assert zx_to_xy(a) == snapped_zx_to_xy(a)
+        assert xy_to_zx(a) == snapped_xy_to_zx(a)
+        assert xy_to_zx(zx_to_xy(a)) == snapped_xy_to_zx(snapped_zx_to_xy(a))
+        assert zx_to_xy(xy_to_zx(a)) == snapped_zx_to_xy(snapped_xy_to_zx(a))
+
+    @given(st.floats(0.0, 0.5))
+    @example(0.0)
+    @example(0.5)
+    def test_balanced_input_is_returned_itself(self, t):
+        a = make_ifv(t, t)
+        assert zx_to_xy(a) is a and xy_to_zx(a) is a

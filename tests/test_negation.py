@@ -6,6 +6,7 @@ from ifvkit import (
     BOTTOM,
     TOP,
     OrderKind,
+    NumericPolicy,
     Ordering,
     accuracy,
     cmp,
@@ -19,10 +20,12 @@ from ifvkit import (
     negate_zx,
     score,
     union_,
+    xy_to_zx,
     zx_to_xy,
 )
+from ifvkit.core import _snap
 
-from conftest import components_close, ifvs, near_corner, well_separated
+from conftest import POLICIES, components_close, edge_ifvs, ifvs, near_corner, well_separated
 
 ORDERS = st.sampled_from(list(OrderKind))
 
@@ -150,3 +153,55 @@ class TestKleene:
     @given(ifvs(), ORDERS)
     def test_self_comparison(self, a, ord):
         assert kleene_check(a, a, ord)
+
+
+def snapped_negate_xy(a, policy):
+    """negate_xy written as one formula and one _snap: the reference its
+    float kernel must match bit for bit."""
+    mu, nu = a.mu, a.nu
+    if abs(mu - nu) <= policy.eps_order:
+        return _snap(0.5 - mu, 0.5 - nu)
+    if mu > nu:
+        return _snap((1.0 - mu - nu) / 2.0, (1.0 + mu - 3.0 * nu) / 2.0)
+    return _snap((1.0 + nu - 3.0 * mu) / 2.0, (1.0 - mu - nu) / 2.0)
+
+
+class TestFloatKernels:
+    @given(edge_ifvs(), POLICIES)
+    @example(make_ifv(0.5 + 4e-10, 0.5 - 4e-10), NumericPolicy())
+    @example(make_ifv(1e-9, 0.0), NumericPolicy())  # a score of exactly eps_order
+    def test_negate_xy_equals_the_snapped_formula(self, a, policy):
+        assert negate_xy(a, policy) == snapped_negate_xy(a, policy)
+
+    @given(edge_ifvs(), POLICIES)
+    @example(make_ifv(0.5000000004, 0.4999999996), NumericPolicy())
+    def test_negate_zx_equals_the_composition(self, a, policy):
+        assert negate_zx(a, policy) == xy_to_zx(negate_xy(zx_to_xy(a), policy))
+
+    @given(edge_ifvs(), edge_ifvs(), ORDERS, POLICIES)
+    # fails the inequality under XY: both scores lie inside the band
+    @example(
+        make_ifv(0.10299375721822011, 0.1029937567182201),
+        make_ifv(0.14964029861657904, 0.14964029811657906),
+        OrderKind.XY,
+        NumericPolicy(),
+    )
+    # a ties with not-a, and only a keeps the meet below the join; swapped,
+    # b ties with not-b, and only b keeps the join above the meet
+    @example(
+        make_ifv(0.24999999974157247, 0.25000000008085393),
+        make_ifv(0.08697135391933365, 0.08697135312877044),
+        OrderKind.XY,
+        NumericPolicy(),
+    )
+    @example(
+        make_ifv(0.08697135391933365, 0.08697135312877044),
+        make_ifv(0.24999999974157247, 0.25000000008085393),
+        OrderKind.XY,
+        NumericPolicy(),
+    )
+    def test_kleene_check_equals_meet_join_and_cmp(self, a, b, ord, policy):
+        lhs = meet2(a, negate(a, ord, policy), ord, policy)
+        rhs = join2(b, negate(b, ord, policy), ord, policy)
+        expected = cmp(lhs, rhs, ord, policy) is not Ordering.GREATER
+        assert kleene_check(a, b, ord, policy) is expected

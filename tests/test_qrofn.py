@@ -9,6 +9,7 @@ from ifvkit import (
     BadParameter,
     DomainViolation,
     LengthMismatch,
+    NumericPolicy,
     Ordering,
     QOrderKind,
     Qrofn,
@@ -32,7 +33,7 @@ from ifvkit import (
     OrderKind,
 )
 
-from conftest import components_close, ifvs, qrofns, well_separated
+from conftest import POLICIES, components_close, edge_ifvs, ifvs, qrofns, well_separated
 
 RUNGS = [1.0, 2.0, 3.0, 5.5]
 QORDERS = st.sampled_from(list(QOrderKind))
@@ -230,6 +231,20 @@ class TestNegations:
         lhs = a if qcmp(a, na, QOrderKind.WU) is not Ordering.GREATER else na
         rhs = b if qcmp(b, nb, QOrderKind.WU) is not Ordering.LESS else nb
         assert qcmp(lhs, rhs, QOrderKind.WU) is not Ordering.GREATER
+
+
+class TestFloatKernels:
+    @given(
+        st.sampled_from(RUNGS).flatmap(
+            lambda q: qrofns(q) | boundary_qrofns(q) | edge_ifvs().map(lambda a: from_ifv(a, q))
+        ),
+        POLICIES,
+    )
+    @example(from_ifv(make_ifv(0.5 + 4e-10, 0.5 - 4e-10), 2.0), NumericPolicy())
+    @example(make_qrofn(0.0, 0.0, 3.0), NumericPolicy())
+    def test_negations_equal_the_lifted_ones(self, a, policy):
+        assert negate_lw(a, policy) == lift(lambda x: negate_xy(x, policy), [a])
+        assert negate_wu(a, policy) == lift(lambda x: negate_zx(x, policy), [a])
 
 
 class TestAggregators:
