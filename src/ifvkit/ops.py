@@ -9,6 +9,9 @@ each written once on component sequences (``_wa``/``_wg``); ``qrofwa`` and
 
 Exponents and weights are checked on entry; after that every result is
 admissible up to rounding and is built with ``core._snap``, not re-validated.
+A decision matrix aggregates every row with one weight vector, so the weight
+check remembers the last vector it accepted and does not loop over it again
+(see :func:`_check_weights`).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-9
+_accepted_weights: tuple | None = None  # the last vector _check_weights passed
 
 
 def complement_bar(a: Ifv) -> Ifv:
@@ -87,7 +91,19 @@ def power(a: Ifv, lam: float) -> Ifv:
 
 
 def _check_weights(weights: Sequence[float]) -> None:
-    """Raise BadParameter unless each weight is in (0, 1] and they sum to 1 within 1e-9."""
+    """Raise BadParameter unless each weight is in (0, 1] and they sum to 1 within 1e-9.
+
+    The last vector that passed is kept as a tuple, and a vector whose tuple
+    equals it returns at once.  That is sound: equal weights pass the same
+    checks, a list mutated since it passed makes a different tuple, and only
+    a vector that passed is ever stored, so a concurrent caller can read
+    nothing else.  The memo starts as None, which no tuple equals, not even
+    the empty one.
+    """
+    global _accepted_weights
+    key = tuple(weights)
+    if key == _accepted_weights:
+        return
     if len(weights) == 0:
         raise BadParameter("weight vector must be nonempty")
     for j, wj in enumerate(weights):
@@ -96,6 +112,7 @@ def _check_weights(weights: Sequence[float]) -> None:
     total = sum(weights)
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise BadParameter(f"weights sum to {total!r}, must be 1")
+    _accepted_weights = key
 
 
 def _weighted_product(factors: Sequence[float], weights: Sequence[float]) -> float:

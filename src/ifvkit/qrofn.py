@@ -9,6 +9,11 @@ the powered components and root the result back (what :func:`lift` gives,
 without building an IFV), and ``qrofwa``/``qrofwg`` run the IFWA/IFWG folds
 of ``ops`` on the powered components.  No order reads the five ranking
 functionals of :func:`scores`.
+
+A value's IFV image is computed on first use and cached on the value, as
+``Ifs`` caches its keys, so a sort that compares each value many times powers
+its components once.  Construction never computes it: most values that are
+built, e.g. the inputs of an aggregation, are never compared.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 from typing import Callable, NamedTuple, Sequence
 
@@ -88,7 +94,15 @@ class Qrofn:
 
     @staticmethod
     def from_json(obj: dict) -> "Qrofn":
-        return make_qrofn(float(obj["mu"]), float(obj["nu"]), float(obj["q"]))
+        try:
+            return make_qrofn(float(obj["mu"]), float(obj["nu"]), float(obj["q"]))
+        except KeyError as exc:
+            raise BadParameter(f"q-ROFN JSON has no {exc.args[0]!r} key") from None
+
+    @cached_property
+    def _ifv(self) -> Ifv:
+        """The :func:`to_ifv` image, computed on first use."""
+        return _snap(self.mu**self.q, self.nu**self.q)
 
 
 class QrofnScores(NamedTuple):
@@ -123,9 +137,17 @@ def make_qrofn(mu: float, nu: float, q: float) -> Qrofn:
 
 def _qsnap(mu: float, nu: float, q: float) -> Qrofn:
     """Build a q-ROFN from components in [0, 1] that an internal formula computed,
-    shrinking the larger one if the powered sum is past 1.  Never raises."""
+    shrinking the larger one if the powered sum is past 1.  Never raises.
+
+    Equal components shrink together, to 0.5 ** (1/q) stepped down until
+    2 * m**q <= 1, so a balanced value stays balanced."""
     if mu**q + nu**q > 1.0:
-        if mu >= nu:
+        if mu == nu:
+            mu = 0.5 ** (1.0 / q)
+            while mu**q > 0.5:
+                mu = math.nextafter(mu, 0.0)
+            nu = mu
+        elif mu > nu:
             mu = (1.0 - nu**q) ** (1.0 / q)
         else:
             nu = (1.0 - mu**q) ** (1.0 / q)
@@ -172,17 +194,21 @@ def qcmp(
     the powered keys exactly as it does for the IFV orders, and every order
     agrees with the transported one by construction.
     """
-    _same_rung([a, b])
-    return cmp(to_ifv(a), to_ifv(b), _ZX if ord is _WU else _XY, policy)
+    if a.q != b.q:
+        raise RungMismatch(f"mixed rungs {a.q} and {b.q}")
+    return cmp(a._ifv, b._ifv, _ZX if ord is _WU else _XY, policy)
 
 
 def to_ifv(a: Qrofn) -> Ifv:
     """Rung transport: <mu, nu> -> <mu^q, nu^q>.
 
     ``a`` was validated when it was built, so the powers need no check; any
-    rounding past the simplex edge is snapped back.
+    rounding past the simplex edge is snapped back.  The image is computed on
+    the first call and cached on ``a`` (never at construction), so every call
+    returns the same object; the cache is not a field and leaves ``==``,
+    ``hash`` and ``repr`` alone.
     """
-    return _snap(a.mu**a.q, a.nu**a.q)
+    return a._ifv
 
 
 def from_ifv(a: Ifv, q: float) -> Qrofn:

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,18 +13,22 @@ from ifvkit import (
     TOP,
     BadParameter,
     LengthMismatch,
+    WeightVector,
     add,
     complement_bar,
     ifwa,
     ifwg,
     intersect,
     make_ifv,
+    make_qrofn,
     mul,
     power,
+    qrofwa,
+    qrofwg,
     scalar_mul,
     union_,
 )
-from ifvkit.ops import _weighted_product
+from ifvkit.ops import _check_weights, _weighted_product
 
 from conftest import components_close, ifvs
 
@@ -202,3 +208,69 @@ class TestAggregators:
         for agg in (ifwa, ifwg):
             out = agg(vals, np.array([0.4, 0.6]))
             assert type(out.mu) is float and type(out.nu) is float
+
+
+class TestWeightCheckMemo:
+    """_check_weights skips a vector equal to the last one it accepted."""
+
+    VALUES = [make_ifv(0.5, 0.3), make_ifv(0.2, 0.6), make_ifv(0.1, 0.1)]
+    QVALUES = [make_qrofn(0.6, 0.8, 2.0), make_qrofn(0.8, 0.6, 2.0), make_qrofn(0.9, 0.1, 2.0)]
+
+    @pytest.mark.parametrize("agg", [ifwa, ifwg])
+    @pytest.mark.parametrize("bad", [0.0, math.nan, -0.2, 1.5], ids=["zero", "nan", "negative", "big"])
+    def test_list_mutated_after_passing_is_checked_again(self, agg, bad):
+        w = [0.2, 0.3, 0.5]
+        agg(self.VALUES, w)
+        w[1] = bad
+        with pytest.raises(BadParameter):
+            agg(self.VALUES, w)
+
+    def test_mutated_sum_is_checked_again(self):
+        w = [0.2, 0.3, 0.5]
+        ifwa(self.VALUES, w)
+        w[2] = 0.4
+        with pytest.raises(BadParameter, match="sum"):
+            ifwa(self.VALUES, w)
+
+    @pytest.mark.parametrize("empty", [[], (), np.array([])], ids=["list", "tuple", "numpy"])
+    def test_empty_vector_after_a_valid_one_raises(self, empty):
+        _check_weights([1.0])
+        with pytest.raises(BadParameter, match="nonempty"):
+            _check_weights(empty)
+        _check_weights((1.0,))
+        with pytest.raises(BadParameter, match="nonempty"):
+            WeightVector(tuple(empty))
+
+    def test_empty_vector_is_rejected_as_the_first_of_a_process(self):
+        # the memo of a fresh process must not already match ()
+        script = (
+            "from ifvkit import BadParameter\n"
+            "from ifvkit.ops import _check_weights\n"
+            "try:\n"
+            "    _check_weights([])\n"
+            "except BadParameter:\n"
+            "    print('rejected')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.stdout.strip() == "rejected", proc.stderr
+
+    def test_rejected_vector_is_not_remembered(self):
+        w = [0.5, 0.6]
+        for _ in range(2):
+            with pytest.raises(BadParameter):
+                _check_weights(w)
+
+    @pytest.mark.parametrize("first", ["list", "tuple", "vector", "numpy"])
+    def test_every_weight_form_gives_the_same_result(self, first):
+        raw = [0.2, 0.3, 0.5]
+        forms = {
+            "list": list(raw),
+            "tuple": tuple(raw),
+            "vector": WeightVector(tuple(raw)),
+            "numpy": np.array(raw),
+        }
+        order = [first] + [k for k in forms if k != first]
+        for agg, values in ((ifwa, self.VALUES), (ifwg, self.VALUES), (qrofwa, self.QVALUES), (qrofwg, self.QVALUES)):
+            outs = [agg(values, forms[k]) for k in order]
+            assert all(out == outs[0] for out in outs), (agg.__name__, outs)
+            assert all(type(out.mu) is float and type(out.nu) is float for out in outs)

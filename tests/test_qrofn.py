@@ -32,6 +32,8 @@ from ifvkit import (
     cmp,
     OrderKind,
 )
+from ifvkit.core import _snap
+from ifvkit.qrofn import _qsnap
 
 from conftest import POLICIES, components_close, edge_ifvs, ifvs, qrofns, well_separated
 
@@ -67,6 +69,15 @@ def qclose(a: Qrofn, b: Qrofn, tol: float) -> bool:
     return a.q == b.q and components_close(a, b, tol)
 
 
+def image(a: Qrofn):
+    """The rung-transport formula, computed afresh (to_ifv caches it)."""
+    return _snap(a.mu**a.q, a.nu**a.q)
+
+
+def edge_qrofns(q: float):
+    return qrofns(q) | boundary_qrofns(q) | edge_ifvs().map(lambda a: from_ifv(a, q))
+
+
 class TestMakeQrofn:
     def test_passthrough(self):
         a = make_qrofn(0.6, 0.8, 3.0)
@@ -93,6 +104,32 @@ class TestMakeQrofn:
     def test_json_round_trip(self):
         a = make_qrofn(0.5, 0.25, 3.0)
         assert Qrofn.from_json(a.to_json()) == a
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [({"mu": 0.1, "nu": 0.2}, "q"), ({"mu": 0.1, "q": 2.0}, "nu"), ({"nu": 0.2, "q": 2.0}, "mu"), ({}, "mu")],
+    )
+    def test_from_json_names_a_missing_key(self, obj, key):
+        with pytest.raises(BadParameter, match=f"'{key}'"):
+            Qrofn.from_json(obj)
+
+    @given(st.sampled_from(RUNGS), st.floats(0.0, 1.0))
+    @example(2.0, 2**-0.5)
+    @example(3.0, 1.0)
+    @example(5.5, 0.5 ** (1 / 5.5))
+    def test_snap_keeps_a_balanced_value_balanced(self, q, t):
+        a = _qsnap(t, t, q)
+        assert a.mu == a.nu and a.mu**q + a.nu**q <= 1.0
+        if t**q + t**q <= 1.0:
+            assert a.mu == t
+        else:
+            assert abs(a.mu - 0.5 ** (1 / q)) <= 4 * math.ulp(a.mu)
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, 5.5])
+    def test_balanced_results_past_the_rung_boundary_stay_balanced(self, q):
+        bottom_free = make_qrofn(0.0, 0.0, q)
+        for out in (negate_lw(bottom_free), negate_wu(bottom_free), from_ifv(make_ifv(0.5, 0.5), q)):
+            assert out.mu == out.nu and out.mu**q + out.nu**q <= 1.0
 
     def test_text_rendering(self):
         assert str(make_qrofn(0.5, 0.25, 2.0)) == "⟨0.5, 0.25⟩_q=2.0"
@@ -132,8 +169,14 @@ class TestQcmp:
         assert qcmp(b, a, QOrderKind.WU) is Ordering.GREATER
 
     def test_rung_mismatch(self):
-        with pytest.raises(RungMismatch):
-            qcmp(make_qrofn(0.5, 0.5, 2.0), make_qrofn(0.5, 0.5, 3.0))
+        a, b = make_qrofn(0.5, 0.5, 2.0), make_qrofn(0.5, 0.5, 3.0)
+        for cached in (False, True):
+            if cached:
+                to_ifv(a), to_ifv(b)
+            for ord in QOrderKind:
+                for x, y in ((a, b), (b, a)):
+                    with pytest.raises(RungMismatch, match="mixed rungs"):
+                        qcmp(x, y, ord)
 
     @given(st.sampled_from(RUNGS).flatmap(lambda q: st.tuples(qrofns(q), qrofns(q))))
     def test_lw_and_x_orders_agree(self, pair):
@@ -144,6 +187,7 @@ class TestQcmp:
     def test_transport_preserves_lw_order(self, pair):
         a, b = pair
         assert qcmp(a, b, QOrderKind.LW) is cmp(to_ifv(a), to_ifv(b), OrderKind.XY)
+        assert qcmp(a, b, QOrderKind.LW) is cmp(image(a), image(b), OrderKind.XY)
 
     @given(st.sampled_from(RUNGS).flatmap(lambda q: st.tuples(qrofns(q), qrofns(q))))
     @example((Qrofn(0.0, 0.0, 5.5), Qrofn(0.0, 0.03125, 5.5)))
@@ -151,6 +195,7 @@ class TestQcmp:
     def test_transport_preserves_wu_order(self, pair):
         a, b = pair
         assert qcmp(a, b, QOrderKind.WU) is cmp(to_ifv(a), to_ifv(b), OrderKind.ZX)
+        assert qcmp(a, b, QOrderKind.WU) is cmp(image(a), image(b), OrderKind.ZX)
 
 
 class TestTransport:
@@ -168,6 +213,22 @@ class TestTransport:
     @given(ifvs(), st.sampled_from(RUNGS))
     def test_round_trip_from_ifv(self, a, q):
         assert components_close(to_ifv(from_ifv(a, q)), a, 1e-9)
+
+    @given(st.sampled_from(RUNGS).flatmap(edge_qrofns))
+    @example(make_qrofn(0.0, 0.0, 3.0))
+    @example(Qrofn(0.9999999999999998, 0.0019531249999999996, 5.5))
+    def test_image_is_the_formula_cached(self, a):
+        img = to_ifv(a)
+        assert img == image(a)
+        assert to_ifv(a) is img
+
+    def test_cached_image_leaves_equality_hash_and_repr_alone(self):
+        a, b = make_qrofn(0.6, 0.7, 3.0), make_qrofn(0.6, 0.7, 3.0)
+        before = (repr(a), str(a), hash(a), a.to_json())
+        to_ifv(a)
+        assert a == b and b == a
+        assert (repr(a), str(a), hash(a), a.to_json()) == before == (repr(b), str(b), hash(b), b.to_json())
+        assert len({a, b}) == 1
 
     def test_rung_one_is_identity(self):
         a = make_qrofn(0.5, 0.3, 1.0)
