@@ -2,9 +2,12 @@
 
 Verbs: ``compare``, ``negate``, ``transport``, ``aggregate``, ``lattice``,
 ``classify``.  Exit codes are a fixed contract: 0 success, 2 parse/schema
-error, 3 domain violation, 4 rung mismatch.  Values are printed in the
-canonical text form "⟨mu, nu⟩" (shortest round-trip decimals); ``classify``
-reports similarities rounded to 4 decimals.
+error, 3 domain violation, 4 rung mismatch.  Every value and set in a JSON
+file is parsed by the library's ``from_json`` and every 'mu,nu' argument by
+``make_ifv``/``make_qrofn``, so any malformed input raises an IfvkitError;
+an error names the failing JSON value by its path (``values/1``, ``I2/x5``).
+Values are printed in the canonical text form "⟨mu, nu⟩" (shortest
+round-trip decimals); ``classify`` reports similarities rounded to 4 decimals.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import sys
 from typing import Sequence
 
 from .core import DEFAULT_POLICY, Ifv, NumericPolicy, OrderKind, Ordering, cmp, make_ifv
-from .errors import DomainViolation, IfvkitError, RungMismatch
-from .ifs import Ifs
+from .errors import BadParameter, DomainViolation, IfvkitError, RungMismatch, _at
+from .ifs import Ifs, _labels
 from .lattice import inf_finite, sup_finite
 from .negation import negate
 from .ops import ifwa, ifwg
@@ -36,30 +39,19 @@ _ORDER_TOKENS = {Ordering.LESS: "LT", Ordering.EQUAL: "EQ", Ordering.GREATER: "G
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # what a JSON "\ud800" escape decodes to
 
 
-class _SchemaError(Exception):
-    """Input file or argument does not match the expected shape."""
-
-
 def _parse_order(tag: str) -> OrderKind:
     try:
         return OrderKind(tag)
     except ValueError:
-        raise _SchemaError(f"unknown order {tag!r}, expected 'xy' or 'zx'")
+        raise BadParameter(f"unknown order {tag!r}, expected 'xy' or 'zx'")
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
+def _parse_pair(text: str) -> list[str]:
+    """Split 'mu,nu'; make_ifv or make_qrofn converts the two parts."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise _SchemaError(f"expected 'mu,nu', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise _SchemaError(f"non-numeric components in {text!r}")
-
-
-def _parse_ifv(text: str) -> Ifv:
-    mu, nu = _parse_pair(text)
-    return make_ifv(mu, nu)
+        raise BadParameter(f"expected 'mu,nu', got {text!r}")
+    return parts
 
 
 def _load_json(path: str) -> dict:
@@ -67,11 +59,11 @@ def _load_json(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise _SchemaError(f"cannot read {path}: {exc}")
+        raise BadParameter(f"cannot read {path}: {exc}")
     except (ValueError, RecursionError) as exc:  # also too-long ints, too-deep nesting
-        raise _SchemaError(f"{path} is not valid JSON: {exc}")
+        raise BadParameter(f"{path} is not valid JSON: {exc}")
     if not isinstance(obj, dict):
-        raise _SchemaError(f"{path}: top-level JSON value must be an object")
+        raise BadParameter(f"{path}: top-level JSON value must be an object")
     return obj
 
 
@@ -79,64 +71,34 @@ def _weights_from_spec(spec, n: int) -> WeightVector:
     if spec == "equal" or spec is None:
         return equal_weights(n)
     if not isinstance(spec, list):
-        raise _SchemaError("'weights' must be a list of numbers or \"equal\"")
+        raise BadParameter("'weights' must be a list of numbers or \"equal\"")
     if len(spec) != n:
-        raise _SchemaError(f"{len(spec)} weights for {n} universe elements")
+        raise BadParameter(f"{len(spec)} weights for {n} universe elements")
     try:
         return WeightVector(tuple(float(x) for x in spec))
     except (TypeError, ValueError, OverflowError):
-        raise _SchemaError("'weights' must be a list of numbers or \"equal\"")
+        raise BadParameter("'weights' must be a list of numbers or \"equal\"")
 
 
-def _cell(cell, where: tuple, rung: bool = False) -> Ifv | Qrofn:
-    """Validate one JSON value: an object with numeric 'mu' and 'nu', and a
-    numeric 'q' when ``rung`` is set.  Errors name the cell by its JSON path,
-    the parts of ``where`` joined by '/'."""
-    try:
-        mu, nu = float(cell["mu"]), float(cell["nu"])
-        q = float(cell["q"]) if rung else None
-    except (KeyError, TypeError, ValueError, OverflowError):
-        path = "/".join(map(str, where))
-        keys = ("mu", "nu", "q") if rung else ("mu", "nu")
-        if not isinstance(cell, dict) or any(k not in cell for k in keys):
-            names = " and ".join(repr(k) for k in keys)
-            raise _SchemaError(f"{path}: expected an object with {names}")
-        raise _SchemaError(f"{path}: components must be numbers in float range")
-    try:
-        return make_ifv(mu, nu) if q is None else make_qrofn(mu, nu, q)
-    except DomainViolation as exc:
-        raise DomainViolation(f"{'/'.join(map(str, where))}: {exc}") from exc
+def _parse_list(rows, parse) -> list:
+    if not isinstance(rows, list) or not rows:
+        raise BadParameter("must be a nonempty list")
+    return [_at(i, parse, row) for i, row in enumerate(rows)]
 
 
 def _value_list(obj: dict, rung: bool = False) -> list:
-    rows = obj.get("values")
-    if not isinstance(rows, list) or not rows:
-        raise _SchemaError("'values' must be a nonempty list")
-    return [_cell(row, ("values", i), rung) for i, row in enumerate(rows)]
-
-
-def _value_row(row: dict, universe: Sequence[str], owner: str) -> Ifs:
-    if not isinstance(row, dict):
-        raise _SchemaError(f"{owner}: values must be an object keyed by element")
-    missing = [x for x in universe if x not in row]
-    if missing:
-        raise _SchemaError(f"{owner}: missing elements {missing}")
-    extra = [x for x in row if x not in universe]
-    if extra:
-        raise _SchemaError(f"{owner}: unknown elements {extra}")
-    values = {x: _cell(row[x], (owner, x)) for x in universe}
-    return Ifs(tuple(universe), values)
+    return _at("values", _parse_list, obj.get("values"), Qrofn.from_json if rung else Ifv.from_json)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    a = _parse_ifv(args.a)
-    b = _parse_ifv(args.b)
+    a = make_ifv(*_parse_pair(args.a))
+    b = make_ifv(*_parse_pair(args.b))
     print(_ORDER_TOKENS[cmp(a, b, _parse_order(args.order), args.policy)])
     return EXIT_OK
 
 
 def _cmd_negate(args: argparse.Namespace) -> int:
-    a = _parse_ifv(args.a)
+    a = make_ifv(*_parse_pair(args.a))
     print(negate(a, _parse_order(args.order), args.policy))
     return EXIT_OK
 
@@ -172,41 +134,27 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     try:
         policy = NumericPolicy(eps_order=float(eps)) if eps is not None else args.policy
     except (TypeError, ValueError, OverflowError):
-        raise _SchemaError("'eps' must be a number")
-    universe = obj.get("universe")
-    if not isinstance(universe, list) or not all(isinstance(x, str) for x in universe):
-        raise _SchemaError("'universe' must be a list of element labels")
+        raise BadParameter("'eps' must be a number")
+    universe = _labels(obj.get("universe"))
     _parse_order(obj.get("order", "xy"))  # validated; the measure is order-fixed
     weights = _weights_from_spec(obj.get("weights"), len(universe))
     patterns_obj = obj.get("patterns")
     if not isinstance(patterns_obj, dict) or not patterns_obj:
-        raise _SchemaError("'patterns' must be a nonempty object")
+        raise BadParameter("'patterns' must be a nonempty object")
     if any(map(_LONE_SURROGATE.search, (*universe, *patterns_obj))):
-        raise _SchemaError("labels must be text a report can print, not lone surrogates")
+        raise BadParameter("labels must be text a report can print, not lone surrogates")
     if "unknown" not in obj:
-        raise _SchemaError("'unknown' is required")
+        raise BadParameter("'unknown' is required")
     patterns = [
-        (label, _value_row(row, universe, label))
+        (label, _at(label, Ifs.from_json, {"universe": universe, "values": row}))
         for label, row in patterns_obj.items()
     ]
-    unknown = _value_row(obj["unknown"], universe, "unknown")
+    unknown = _at("unknown", Ifs.from_json, {"universe": universe, "values": obj["unknown"]})
     result = classify(unknown, patterns, weights, policy)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "similarities": {
-                        label: round(sim, 4) for label, sim in result.ranking
-                    },
-                    "ranking": [
-                        [label, round(sim, 4)] for label, sim in result.ranking
-                    ],
-                    "winner": result.winner,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        ranking = [[label, round(sim, 4)] for label, sim in result.ranking]
+        report = {"similarities": dict(ranking), "ranking": ranking, "winner": result.winner}
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         sims = result.similarities
         for label, _ in patterns:
@@ -271,7 +219,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args.policy = DEFAULT_POLICY if args.eps is None else NumericPolicy(eps_order=args.eps)
         return args.func(args)
-    except (_SchemaError, IfvkitError) as exc:
+    except IfvkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_SCHEMA)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import BadParameter, DomainViolation
 
@@ -60,7 +61,7 @@ class NumericPolicy:
     eps_order: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (_EPS_DOMAIN <= self.eps_order < 1e-3):
+        if not (isinstance(self.eps_order, Real) and _EPS_DOMAIN <= self.eps_order < 1e-3):
             raise BadParameter(
                 f"require {_EPS_DOMAIN} <= eps_order < 1e-3, got eps_order={self.eps_order}"
             )
@@ -105,10 +106,13 @@ class Ifv:
 
     @staticmethod
     def from_json(obj: dict) -> "Ifv":
+        """Parse ``{"mu": ..., "nu": ...}``; any other JSON raises BadParameter."""
         try:
-            return make_ifv(float(obj["mu"]), float(obj["nu"]))
+            return make_ifv(obj["mu"], obj["nu"])
         except KeyError as exc:
             raise BadParameter(f"IFV JSON has no {exc.args[0]!r} key") from None
+        except TypeError:  # make_ifv raises none, so obj is not an object
+            raise BadParameter(f"IFV JSON must be an object, got {type(obj).__name__}") from None
 
 
 BOTTOM = Ifv(0.0, 1.0)
@@ -165,9 +169,14 @@ def make_ifv(mu: float, nu: float) -> Ifv:
     Values within a fixed 1e-12 outside the bounds are snapped to the
     boundary so that round-trips through the order isomorphisms never fail on
     last-ulp noise.  Genuine violations raise :class:`DomainViolation`.
+    Both components are converted first: a non-number raises BadParameter.
     """
-    mu = _clamp_component(float(mu), "mu")
-    nu = _clamp_component(float(nu), "nu")
+    try:
+        mu, nu = float(mu), float(nu)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"IFV components must be real numbers in float range: {exc}") from None
+    mu = _clamp_component(mu, "mu")
+    nu = _clamp_component(nu, "nu")
     if mu + nu > 1.0 + _EPS_DOMAIN:
         raise DomainViolation(f"mu + nu = {mu + nu!r} exceeds 1 beyond tolerance {_EPS_DOMAIN}")
     return _snap(mu, nu)

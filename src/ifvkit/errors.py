@@ -2,12 +2,28 @@
 
 Every failure mode raised by the library derives from IfvkitError, so callers
 can catch one base class at API boundaries (the CLI maps subclasses to exit
-codes).
+codes), whatever the input: constructors and ``from_json`` parsers raise one
+on malformed JSON and non-numbers too.  An error in a nested JSON value carries
+its ``path``, outermost key first, shown as a prefix: ``values/1: ...``.
 """
 
 
 class IfvkitError(Exception):
     """Base class for all ifvkit errors."""
+
+    path: tuple = ()  # JSON keys and list indices of the failing value
+    def __str__(self) -> str:
+        text = super().__str__()
+        return f"{'/'.join(map(str, self.path))}: {text}" if self.path else text
+
+
+def _at(key, parse, *args):
+    """``parse(*args)``; an IfvkitError it raises gets ``key`` prepended to its path."""
+    try:
+        return parse(*args)
+    except IfvkitError as exc:
+        exc.path = (key, *exc.path)
+        raise
 
 
 class DomainViolation(IfvkitError):
@@ -15,7 +31,7 @@ class DomainViolation(IfvkitError):
 
 
 class BadParameter(IfvkitError):
-    """A scalar parameter (exponent, rung, weight) is out of range."""
+    """A parameter is malformed (a non-number, a wrong JSON shape) or out of range."""
 
 
 class LengthMismatch(IfvkitError):

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import DEFAULT_POLICY, BOTTOM, Ifv, NumericPolicy, accuracy, cmp, make_ifv, score
 from .core import _GREATER, _LESS, _XY
-from .errors import EmptySamples, NonTotalMap, UniverseMismatch
+from .errors import BadParameter, EmptySamples, NonTotalMap, UniverseMismatch, _at
 from .lattice import sup_finite
 
 __all__ = ["Ifs", "pointwise_leq", "level_set", "decompose_check", "zadeh_extend"]
@@ -65,12 +65,22 @@ class Ifs:
 
     @staticmethod
     def from_json(obj: dict) -> "Ifs":
-        universe = tuple(obj["universe"])
-        rows = obj["values"]
+        """Parse ``{"universe": [label, ...], "values": {label: IFV JSON}}``.
+        Checks the shape (BadParameter), then missing and extra elements
+        (UniverseMismatch), then each cell; a cell's error has its label as path."""
+        try:
+            universe, rows = _labels(obj["universe"]), obj["values"]
+        except (KeyError, TypeError):  # a missing key, or obj is not an object
+            raise BadParameter("IFS JSON must be an object with 'universe' and 'values'") from None
+        if not isinstance(rows, dict):
+            raise BadParameter("'values' must be an object keyed by element")
         missing = [x for x in universe if x not in rows]
         if missing:
             raise UniverseMismatch(f"no value for universe elements {missing}")
-        return Ifs(universe, {x: Ifv.from_json(rows[x]) for x in universe})
+        if len(rows) != len(set(universe)):  # no element is missing, so some are extra
+            extra = [x for x in rows if x not in universe]
+            raise UniverseMismatch(f"values for elements outside the universe {extra}")
+        return Ifs(universe, {x: _at(x, Ifv.from_json, rows[x]) for x in universe})
 
     @staticmethod
     def from_pairs(universe: Sequence[str], pairs: Iterable[tuple[float, float]]) -> "Ifs":
@@ -79,6 +89,13 @@ class Ifs:
         if len(values) != len(universe) or len(pairs) != len(universe):
             raise UniverseMismatch("one (mu, nu) pair per universe element required")
         return Ifs(tuple(universe), values)
+
+
+def _labels(universe) -> tuple[str, ...]:
+    """A JSON universe, a list of string labels, as a tuple."""
+    if not isinstance(universe, (list, tuple)) or not all(isinstance(x, str) for x in universe):
+        raise BadParameter("'universe' must be a list of element labels")
+    return tuple(universe)
 
 
 def _require_same_universe(i1: Ifs, i2: Ifs) -> None:

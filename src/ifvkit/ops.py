@@ -73,9 +73,13 @@ def mul(a: Ifv, b: Ifv) -> Ifv:
 
 
 def _exponent(lam: float) -> float:
+    try:
+        lam = float(lam)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"exponent must be a real number in float range: {exc}") from None
     if not (lam > 0.0):
         raise BadParameter(f"exponent must be > 0, got {lam!r}")
-    return float(lam)
+    return lam
 
 
 def scalar_mul(lam: float, a: Ifv) -> Ifv:
@@ -91,7 +95,7 @@ def power(a: Ifv, lam: float) -> Ifv:
 
 
 def _check_weights(weights: Sequence[float]) -> None:
-    """Raise BadParameter unless each weight is in (0, 1] and they sum to 1 within 1e-9.
+    """Raise BadParameter unless the weights are numbers in (0, 1] summing to 1 within 1e-9.
 
     The last vector that passed is kept as a tuple, and a vector whose tuple
     equals it returns at once.  That is sound: equal weights pass the same
@@ -101,15 +105,18 @@ def _check_weights(weights: Sequence[float]) -> None:
     the empty one.
     """
     global _accepted_weights
-    key = tuple(weights)
-    if key == _accepted_weights:
-        return
-    if len(weights) == 0:
-        raise BadParameter("weight vector must be nonempty")
-    for j, wj in enumerate(weights):
-        if not (0.0 < wj <= 1.0):
-            raise BadParameter(f"weight {j} is {wj!r}, must be in (0, 1]")
-    total = sum(weights)
+    try:
+        key = tuple(weights)
+        if key == _accepted_weights:
+            return
+        if len(key) == 0:
+            raise BadParameter("weight vector must be nonempty")
+        for j, wj in enumerate(key):
+            if not (0.0 < wj <= 1.0):
+                raise BadParameter(f"weight {j} is {wj!r}, must be in (0, 1]")
+        total = sum(key)
+    except TypeError:
+        raise BadParameter(f"weights must be a sequence of real numbers, got {weights!r}") from None
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise BadParameter(f"weights sum to {total!r}, must be 1")
     _accepted_weights = key
@@ -125,11 +132,11 @@ def _weighted_product(factors: Sequence[float], weights: Sequence[float]) -> flo
 
 
 def _check_args(values: Sequence, weights: Sequence[float]) -> None:
-    if len(values) != len(weights):
-        raise LengthMismatch(f"{len(values)} values vs {len(weights)} weights")
     if not values:
         raise LengthMismatch("need at least one value")
     _check_weights(weights)
+    if len(values) != len(weights):
+        raise LengthMismatch(f"{len(values)} values vs {len(weights)} weights")
 
 
 def _wa(mus: Sequence[float], nus: Sequence[float], w: Sequence[float]) -> Ifv:

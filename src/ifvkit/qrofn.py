@@ -94,10 +94,13 @@ class Qrofn:
 
     @staticmethod
     def from_json(obj: dict) -> "Qrofn":
+        """Parse ``{"mu": ..., "nu": ..., "q": ...}``; any other JSON raises BadParameter."""
         try:
-            return make_qrofn(float(obj["mu"]), float(obj["nu"]), float(obj["q"]))
+            return make_qrofn(obj["mu"], obj["nu"], obj["q"])
         except KeyError as exc:
             raise BadParameter(f"q-ROFN JSON has no {exc.args[0]!r} key") from None
+        except TypeError:  # make_qrofn raises none, so obj is not an object
+            raise BadParameter(f"q-ROFN JSON must be an object, got {type(obj).__name__}") from None
 
     @cached_property
     def _ifv(self) -> Ifv:
@@ -116,17 +119,25 @@ class QrofnScores(NamedTuple):
 
 
 def _check_rung(q: float) -> float:
-    q = float(q)
+    try:
+        q = float(q)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"rung must be a real number in float range: {exc}") from None
     if not (math.isfinite(q) and q >= 1.0):
         raise BadParameter(f"rung must be a finite real >= 1, got {q!r}")
     return q
 
 
 def make_qrofn(mu: float, nu: float, q: float) -> Qrofn:
-    """Validate and build a q-ROFN, clamping representational noise."""
+    """Validate and build a q-ROFN, clamping representational noise.  A
+    non-number or a bad rung raises BadParameter before any domain check."""
     q = _check_rung(q)
-    mu = _clamp_component(float(mu), "mu")
-    nu = _clamp_component(float(nu), "nu")
+    try:
+        mu, nu = float(mu), float(nu)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"q-ROFN components must be real numbers in float range: {exc}") from None
+    mu = _clamp_component(mu, "mu")
+    nu = _clamp_component(nu, "nu")
     total = mu**q + nu**q
     if total > 1.0 + _EPS_DOMAIN:
         raise DomainViolation(

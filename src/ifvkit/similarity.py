@@ -17,6 +17,7 @@ of ``rho`` bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterator, Sequence
 
 from .core import DEFAULT_POLICY, Ifv, NumericPolicy, accuracy, score
@@ -56,8 +57,8 @@ class WeightVector:
 def equal_weights(n: int) -> WeightVector:
     """Uniform weights 1/n, with the rounding remainder folded into the first
     entry so the sum is exactly 1 at machine precision."""
-    if n < 1:
-        raise BadParameter("need at least one weight")
+    if not (isinstance(n, Integral) and n >= 1):
+        raise BadParameter(f"need a positive integer weight count, got {n!r}")
     w = [1.0 / n] * n
     w[0] += 1.0 - sum(w)
     return WeightVector(tuple(w))

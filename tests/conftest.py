@@ -67,6 +67,15 @@ CORNERS = [
     make_ifv(1.0, 1e-300),
 ]
 
+# Any JSON value, small.  Text may hold lone surrogates, which st.text()
+# leaves out by default.
+json_text = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=4)
+any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | json_text,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(json_text, kids, max_size=3),
+    max_leaves=8,
+)
+
 # The default comparison tolerance and a wide one.
 POLICIES = st.sampled_from([NumericPolicy(), NumericPolicy(eps_order=1e-6)])
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from ifvkit.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RUNG, EXIT_SCHEMA, main
 
+from conftest import any_json, json_text
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -233,6 +235,14 @@ class TestMalformedValues:
         if "weights" not in doc:
             assert "values/0" in err
 
+    @pytest.mark.parametrize("verb,op", [(AGG, "ifwg"), (AGG, "qrofwa"), (LAT, "sup")])
+    def test_error_names_the_failing_value_by_index(self, capsys, tmp_path, verb, op):
+        f = tmp_path / "values.json"
+        f.write_text(json.dumps({"values": [{"mu": 0.1, "nu": 0.2, "q": 2}, {"mu": "a", "nu": 0}]}))
+        code, out, err = run(capsys, verb, str(f), "--op", op)
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert "values/1: " in err
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -254,43 +264,35 @@ class TestMalformedValues:
 
 
 # Documents near the valid shapes, with any part possibly replaced by any JSON.
-# Text may hold lone surrogates, which st.text() leaves out by default.
-_text = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=4)
-_json = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | _text,
-    lambda kids: st.lists(kids, max_size=3)
-    | st.dictionaries(_text, kids, max_size=3),
-    max_leaves=8,
-)
 _numbers = st.floats(0.0, 1.0) | st.just(2) | st.floats() | st.integers(-HUGE, HUGE)
 _cells = (
     st.fixed_dictionaries(
         {"mu": st.floats(0.0, 0.5), "nu": st.floats(0.0, 0.5)}, optional={"q": st.just(2)}
     )
     | st.fixed_dictionaries({"mu": _numbers, "nu": _numbers}, optional={"q": _numbers})
-    | _json
+    | any_json
 )
-_weights = st.just("equal") | st.lists(_numbers, max_size=3) | _json
-_rows = st.fixed_dictionaries({"x": _cells, "y": _cells}) | _json
+_weights = st.just("equal") | st.lists(_numbers, max_size=3) | any_json
+_rows = st.fixed_dictionaries({"x": _cells, "y": _cells}) | any_json
 _documents = (
     st.fixed_dictionaries(
-        {"values": st.lists(_cells, min_size=1, max_size=3) | _json},
+        {"values": st.lists(_cells, min_size=1, max_size=3) | any_json},
         optional={"weights": _weights},
     )
     | st.fixed_dictionaries(
         {
-            "universe": st.just(["x", "y"]) | _json,
-            "patterns": st.dictionaries(_text, _rows, min_size=1, max_size=2)
-            | _json,
+            "universe": st.just(["x", "y"]) | any_json,
+            "patterns": st.dictionaries(json_text, _rows, min_size=1, max_size=2)
+            | any_json,
             "unknown": _rows,
         },
         optional={
             "weights": _weights,
-            "eps": _numbers | _json,
-            "order": st.sampled_from(["xy", "zx"]) | _json,
+            "eps": _numbers | any_json,
+            "order": st.sampled_from(["xy", "zx"]) | any_json,
         },
     )
-    | _json
+    | any_json
 )
 
 
@@ -383,6 +385,24 @@ class TestClassify:
         code, _, err = run(capsys, "classify", str(f))
         assert code == EXIT_DOMAIN
         assert "I2/x5" in err
+
+    def test_domain_violation_in_unknown_names_cell(self, capsys, tmp_path):
+        request = json.loads((DATA / "building_materials.json").read_text())
+        request["unknown"]["x3"] = {"mu": 0.9, "nu": 0.9}
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(request))
+        code, _, err = run(capsys, "classify", str(f))
+        assert code == EXIT_DOMAIN
+        assert "unknown/x3" in err
+
+    def test_element_outside_the_universe_is_schema_error(self, capsys, tmp_path):
+        request = json.loads((DATA / "building_materials.json").read_text())
+        request["patterns"]["I3"]["x13"] = {"mu": 0.1, "nu": 0.2}
+        f = tmp_path / "extra.json"
+        f.write_text(json.dumps(request))
+        code, out, err = run(capsys, "classify", str(f))
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert "I3" in err and "x13" in err
 
     @pytest.mark.parametrize("eps", ["abc", [1e-9], pytest.param(HUGE, id="huge")])
     def test_schema_error_on_non_numeric_eps(self, capsys, tmp_path, eps):
